@@ -19,7 +19,7 @@ from .storesim import (KVStore, ReadPolicy, WorkloadProgram, ValidationReport,
                        BUILTIN_WORKLOADS, LATEST_WRITER, RANDOM_WEAK,
                        run_workload, legal_writers, validate, parse_script,
                        ReplayMismatch, ScriptError)
-from .solver import SolverUnknown, BackendUnavailable
+from .solver import SolverUnknown
 
 __all__ = [
     'T0', 'Event', 'Transaction', 'ExecutionHistory', 'build_history',
@@ -35,7 +35,7 @@ __all__ = [
     'BUILTIN_WORKLOADS', 'LATEST_WRITER', 'RANDOM_WEAK', 'run_workload',
     'legal_writers', 'validate', 'parse_script', 'ReplayMismatch',
     'ScriptError',
-    'SolverUnknown', 'BackendUnavailable',
+    'SolverUnknown',
 ]
 
 __version__ = '0.1.0'

@@ -1,17 +1,27 @@
 """Isolation checks for a fixed history.
 
-Serializability is decided with the constraint backend: one integer
-commit-order variable per transaction, hb forcing co order, and the
-arbitration rule per key.  Causal and read-committed conformance collapse
-to cycle detection because the arbitration relations ww_causal and ww_rc
-are fully determined once the history is fixed.
+Serializability is decided by a search over session frontiers (Biswas &
+Enea, "On the Complexity of Checking Transactional Consistency", OOPSLA
+2019).  A state is the tuple of per-session prefix lengths already placed
+in the serial order; a transaction may be placed next when its session
+predecessor and every writer it reads from are placed, and, for each key
+it writes, every reader of an already-placed writer of that key is placed.
+Whether the rest can be placed depends only on the placed set, so dead
+states are memoised and the search is polynomial for a bounded number of
+sessions.  Past STATE_CAP states it raises SolverUnknown instead of
+running on.  Causal and read-committed conformance collapse to cycle
+detection because the arbitration relations ww_causal and ww_rc are fully
+determined once the history is fixed.
 """
 
+import time
 from dataclasses import dataclass
 
 from .history import T0
-from . import solver
 from .solver import SolverUnknown
+
+# frontier states the serializability search may visit before it gives up
+STATE_CAP = 1 << 18
 
 
 class TooLarge(Exception):
@@ -29,29 +39,84 @@ class Verdict:
 
 
 def check_serializable(history, timeout=None):
-    txns = history.committed()
-    if len(txns) <= 1:
-        return Verdict('serializable', order=list(txns))
-    prog = solver.Program()
-    co = {t: prog.int_var('co[%d]' % t) for t in txns}
-    for (a, b) in sorted(history.hb()):
-        prog.add(solver.lt(co[a], co[b]))
-    for key in history.keys:
-        writers = history.writers_of(key)
-        for (t2, t3) in sorted(history.wr.get(key, ())):
-            for t1 in writers:
-                if t1 == t2 or t1 == t3:
-                    continue
-                prog.add(solver.implies(solver.lt(co[t1], co[t3]),
-                                        solver.lt(co[t1], co[t2])))
-    prog.add(solver.distinct(*[co[t] for t in txns]))
-    res = solver.check_sat(prog, timeout=timeout)
-    if res.status == 'unknown':
-        raise SolverUnknown(res.reason)
-    if res.status == 'unsat':
-        return Verdict('unserializable')
-    order = sorted(txns, key=lambda t: (res.model[co[t]], t))
-    return Verdict('serializable', order=order)
+    """Serial order explaining every read, or 'unserializable'.
+
+    Raises SolverUnknown('state-cap') past STATE_CAP frontier states and
+    SolverUnknown('timeout') once `timeout` seconds have passed.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    sessions = [history.sessions[s] for s in sorted(history.sessions)]
+    where = {}      # tid -> (session index, index in session)
+    for i, ts in enumerate(sessions):
+        for j, t in enumerate(ts):
+            where[t] = (i, j)
+    # per transaction: (session index, index) of each writer it reads from
+    # other than t0, and (key, own wr pairs on key) for each key it writes
+    sources = {t: set() for t in where}
+    own = {t: {} for t in where}
+    readers = {}    # (writer, key) -> number of readers
+    for key, pairs in history.wr.items():
+        for (w, r) in pairs:
+            if w != T0:
+                sources[r].add(where[w])
+            own[r][key] = own[r].get(key, 0) + 1
+            readers[(w, key)] = readers.get((w, key), 0) + 1
+    writes = {t: [(k, own[t].get(k, 0)) for k in sorted(
+        {e.key for e in history.txns[t].events if e.kind == 'w'})]
+        for t in where}
+    # blocked[k]: wr pairs on k whose writer is placed and reader is not
+    blocked = {k: readers.get((T0, k), 0) for k in history.keys}
+    frontier = [0] * len(sessions)
+    # a state is the frontier in mixed radix, session i having weight
+    # stride[i]
+    stride = [1] * len(sessions)
+    for i in range(1, len(sessions)):
+        stride[i] = stride[i - 1] * (len(sessions[i - 1]) + 1)
+
+    def ready(t):
+        return (all(frontier[i] > j for (i, j) in sources[t])
+                and all(blocked[k] == n for (k, n) in writes[t]))
+
+    def place(t, sign):
+        for k, n in own[t].items():
+            blocked[k] -= sign * n
+        for k, _ in writes[t]:
+            blocked[k] += sign * readers.get((t, k), 0)
+        frontier[where[t][0]] += sign
+
+    order = []
+    state = 0
+    seen = {state}
+    next_session = [0]      # per depth: next session index to try
+    while len(order) < len(where):
+        i = next_session[-1]
+        while i < len(sessions):
+            j = frontier[i]
+            if (j < len(sessions[i]) and state + stride[i] not in seen
+                    and ready(sessions[i][j])):
+                break
+            i += 1
+        if i < len(sessions):
+            state += stride[i]
+            seen.add(state)
+            if len(seen) > STATE_CAP:
+                raise SolverUnknown('state-cap')
+            if (deadline is not None and len(seen) % 1024 == 0
+                    and time.monotonic() > deadline):
+                raise SolverUnknown('timeout')
+            t = sessions[i][frontier[i]]
+            next_session[-1] = i + 1
+            next_session.append(0)
+            place(t, 1)
+            order.append(t)
+        else:
+            next_session.pop()
+            if not order:
+                return Verdict('unserializable')
+            t = order.pop()
+            place(t, -1)
+            state -= stride[where[t][0]]
+    return Verdict('serializable', order=[T0] + order)
 
 
 def oracle_serializable(history):

@@ -26,10 +26,6 @@ class SolverError(Exception):
     pass
 
 
-class BackendUnavailable(SolverError):
-    pass
-
-
 class SolverUnknown(Exception):
     def __init__(self, reason):
         super().__init__(reason)
@@ -230,6 +226,7 @@ class _Sat:
         self.heap_pos = []
         self.watches = []     # lit -> list of clauses
         self.clauses = []
+        self.literals = 0     # sum of clause lengths, kept by add_clause
         self.learnts = []
         self.trail = []
         self.trail_lim = []
@@ -239,7 +236,7 @@ class _Sat:
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
-        self.decidable = []   # gates are implied, never decided
+        self.decidable = []   # gates are implied, never decided or heaped
         self.decide_first = []  # vars tried before the activity heap
         # theory: order atoms
         self.order_edge = {}  # var -> (a, b) meaning var true <=> a < b
@@ -247,7 +244,7 @@ class _Sat:
         self.edge_src = {}    # var -> src node while in graph
         self.tqhead = 0
 
-    def new_var(self):
+    def new_var(self, decidable=True):
         v = self.nvars
         self.nvars += 1
         self.assign.append(-1)
@@ -257,10 +254,11 @@ class _Sat:
         self.activity.append(0.0)
         self.heap_pos.append(-1)
         self._seen.append(False)
-        self.decidable.append(True)
+        self.decidable.append(decidable)
         self.watches.append([])
         self.watches.append([])
-        self._heap_insert(v)
+        if decidable:
+            self._heap_insert(v)
         return v
 
     # --- activity heap -----------------------------------------------------
@@ -350,6 +348,7 @@ class _Sat:
                 self.ok = False
             return
         self.clauses.append(out)
+        self.literals += len(out)
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
 
@@ -472,7 +471,8 @@ class _Sat:
                 self.adj[self.edge_src.pop(v)].pop()
             self.assign[v] = -1
             self.reason[v] = None
-            self._heap_insert(v)
+            if self.decidable[v]:
+                self._heap_insert(v)
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -539,7 +539,7 @@ class _Sat:
                 return v
         while self.heap:
             v = self._heap_pop()
-            if self.assign[v] == -1 and self.decidable[v]:
+            if self.assign[v] == -1:
                 return v
         return None
 
@@ -599,7 +599,6 @@ class _Compiler:
         self.enum_atom = {}
         self.order_vars = []
         self.cache = {}
-        self.literal_count = 0
         bias = 0.001
         n = len(program.vars)
         for i, v in enumerate(program.vars.values()):
@@ -661,9 +660,7 @@ class _Compiler:
         key = ('and', tuple(sorted(out)))
         if key in self.cache:
             return self.cache[key]
-        gv = self.sat.new_var()
-        self.sat.decidable[gv] = False
-        g = 2 * gv
+        g = 2 * self.sat.new_var(decidable=False)
         for l in out:
             self.sat.add_clause([g ^ 1, l])
         self.sat.add_clause([g] + [l ^ 1 for l in out])
@@ -819,7 +816,7 @@ class _Compiler:
 
 def _finish(comp, program, status, deadline, t0):
     stats = {
-        'literals': sum(len(c) for c in comp.sat.clauses),
+        'literals': comp.sat.literals,
         'clauses': len(comp.sat.clauses),
         'conflicts': comp.sat.conflicts,
         'decisions': comp.sat.decisions,
@@ -892,21 +889,6 @@ class Incremental:
             decision_limit=None if decision_limit is None
             else sat.decisions + decision_limit)
         return _finish(self.comp, self.program, status, deadline, t0)
-
-
-def block_assignment(program, symbols, model):
-    """Return program + the negated conjunction binding symbols to model."""
-    p = program.copy()
-    binds = []
-    for s in symbols:
-        v = program.vars[s] if isinstance(s, str) else s
-        val = model[v.name]
-        if v.sort == BOOL:
-            binds.append(eq(v, TRUE if val else FALSE))
-        else:
-            binds.append(eq(v, int(val)))
-    p.add(neg(conj(*binds)))
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .history import T0, Event, Transaction, ExecutionHistory, build_history
 from . import checker, traceio
+from .solver import SolverUnknown
 
 LATEST_WRITER = 'latest-writer'
 RANDOM_WEAK = 'random-weak'
@@ -37,11 +38,12 @@ class ReadPolicy:
     def __post_init__(self):
         self._rng = random.Random(self.rng_seed)
 
-    def choose(self, run, sid, tid, key):
+    def choose(self, run, sid, tid, key, reads):
+        """Writer for a read of key; reads are the txn's earlier reads."""
         if self.kind == LATEST_WRITER:
             return run.latest_writer(key)
-        legal = sorted(legal_writers(run.partial_history(tid), sid, key,
-                                     self.level, run=run, tid=tid))
+        legal = sorted(legal_writers(run.partial_history(tid, reads), sid,
+                                     key, self.level, run=run, tid=tid))
         return self._rng.choice(legal)
 
 
@@ -165,7 +167,8 @@ class TxnCtx:
         if self.read_hook is not None:
             writer = self.read_hook(self, key)
         else:
-            writer = self.run.policy.choose(self.run, self.sid, self.tid, key)
+            writer = self.run.policy.choose(self.run, self.sid, self.tid, key,
+                                            self.reads)
         value = self.run.store.last_value_of(writer, key)
         pos = self._next_pos()
         self.ops.append(('r', key, pos, writer, value))
@@ -569,7 +572,7 @@ def validate(predicted, program, sessions, txns_per_session, seed, level):
         verdict = checker.check_serializable(val_history)
         outcome = ('Serializable' if verdict
                    else 'ValidatedUnserializable')
-    except Exception:
+    except SolverUnknown:
         outcome = 'Unknown'
     return ValidationReport(outcome, bool(sites), sites, val_history,
                             val_trace, run.final_state())

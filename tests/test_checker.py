@@ -3,7 +3,7 @@
 import pytest
 
 import unserial as u
-from unserial import checker
+from unserial import checker, storesim as ss
 
 from conftest import make_history, random_history
 
@@ -32,6 +32,43 @@ def causal_gap():
     })
 
 
+def fuzzed_histories():
+    """RANDOM_WEAK runs of every built-in program, small enough for the
+    oracle."""
+    for program in ss.BUILTIN_WORKLOADS:
+        for sessions, txns in ((2, 2), (3, 2), (4, 2)):
+            for level in (u.CAUSAL, u.READ_COMMITTED):
+                for seed in range(4):
+                    _, h = ss.run_workload(
+                        ss.WorkloadProgram(program), sessions, txns, seed,
+                        ss.ReadPolicy(ss.RANDOM_WEAK, level, seed))
+                    yield (program, sessions, txns, level, seed), h
+
+
+def lost_update_plus_independent(n):
+    # the lost update beside n one-transaction sessions that touch their
+    # own keys: unserializable, and every frontier of the n sessions is
+    # reachable, so the search visits 2**n states
+    spec = {1: (1, [('r', 'x', 1, 0, 0), ('w', 'x', 2, 1)]),
+            2: (2, [('r', 'x', 1, 0, 0), ('w', 'x', 2, 2)])}
+    for i in range(n):
+        spec[3 + i] = (3 + i, [('w', 'k%d' % i, 1, 1)])
+    return make_history(spec)
+
+
+def assert_replays(h, order, label):
+    assert sorted(order) == h.committed(), label
+    assert order[0] == u.T0, label
+    last = {}
+    for t in order:
+        for e in h.txns[t].events:
+            if e.kind == 'r':
+                assert last.get(e.key, u.T0) == e.writer, (label, t)
+        for e in h.txns[t].events:
+            if e.kind == 'w':
+                last[e.key] = t
+
+
 def test_lost_update_unserializable():
     v = checker.check_serializable(lost_update())
     assert v.kind == 'unserializable'
@@ -58,27 +95,69 @@ def test_observed_runs_are_serializable(dd_observed, dw_observed):
 
 def test_witness_order_replays(dd_observed):
     # the returned commit order must actually explain every read
-    for seed in range(60):
+    for seed in range(1000):
         h = random_history(seed)
         v = checker.check_serializable(h)
-        if v.kind != 'serializable':
-            continue
-        assert sorted(v.order) == h.committed()
-        last = {}
-        for t in v.order:
-            for e in h.txns[t].events:
-                if e.kind == 'r':
-                    assert last.get(e.key, 0) == e.writer, (seed, t)
-            for e in h.txns[t].events:
-                if e.kind == 'w':
-                    last[e.key] = t
+        if v.kind == 'serializable':
+            assert_replays(h, v.order, seed)
+    for label, h in fuzzed_histories():
+        v = checker.check_serializable(h)
+        if v.kind == 'serializable':
+            assert_replays(h, v.order, label)
 
 
 def test_oracle_equivalence_sample():
-    for seed in range(100):
+    kinds = set()
+    for seed in range(1000):
         h = random_history(seed)
-        assert (checker.check_serializable(h).kind
-                == checker.oracle_serializable(h).kind), seed
+        kind = checker.check_serializable(h).kind
+        assert kind == checker.oracle_serializable(h).kind, seed
+        kinds.add(kind)
+    for label, h in fuzzed_histories():
+        kind = checker.check_serializable(h).kind
+        assert kind == checker.oracle_serializable(h).kind, label
+        kinds.add(kind)
+    assert kinds == {'serializable', 'unserializable'}
+
+
+def test_read_from_two_writers_unserializable():
+    # a transaction reading one key from two different writers cannot be
+    # placed after both of them
+    h = make_history({
+        1: (1, [('w', 'x', 1, 1)]),
+        2: (2, [('r', 'x', 1, 1, 1), ('r', 'x', 2, 0, 0)]),
+    })
+    assert checker.check_serializable(h).kind == 'unserializable'
+
+
+def test_read_from_session_successor_unserializable():
+    h = make_history({
+        1: (1, [('r', 'x', 1, 2, 2)]),
+        2: (1, [('w', 'x', 2, 2)]),
+    })
+    assert checker.check_serializable(h).kind == 'unserializable'
+
+
+def test_state_cap_reports_unknown(monkeypatch):
+    h = lost_update_plus_independent(6)
+    assert checker.check_serializable(h).kind == 'unserializable'
+    monkeypatch.setattr(checker, 'STATE_CAP', 10)
+    with pytest.raises(u.SolverUnknown) as exc:
+        checker.check_serializable(h)
+    assert exc.value.reason == 'state-cap'
+
+
+def test_state_cap_admits_sixteen_sessions():
+    # 2**16 states: the search finishes under the default cap
+    h = lost_update_plus_independent(16)
+    assert checker.check_serializable(h).kind == 'unserializable'
+
+
+def test_timeout_reports_unknown():
+    h = lost_update_plus_independent(12)
+    with pytest.raises(u.SolverUnknown) as exc:
+        checker.check_serializable(h, timeout=0)
+    assert exc.value.reason == 'timeout'
 
 
 def test_causal_gap_verdicts():

@@ -225,6 +225,51 @@ def test_incremental_add_tightens():
     assert inc.check().status == 'unsat'
 
 
+def _gated_program():
+    p = solver.Program()
+    es = [p.enum_var('e%d' % i, (0, 1, 2)) for i in range(3)]
+    bs = [p.bool_var('b%d' % i) for i in range(3)]
+    for i in range(3):
+        p.add(disj(conj(eq(es[i], 1), bs[i]),
+                   conj(neg(bs[i]), neg(eq(es[(i + 1) % 3], 0)))))
+    return p, es + bs
+
+
+def test_gates_never_enter_the_heap():
+    p, symbols = _gated_program()
+    inc = solver.Incremental(p)
+    sat = inc.comp.sat
+    assert not all(sat.decidable), 'program must compile to some gates'
+    for _ in range(6):
+        res = inc.check()
+        if res.status != 'sat':
+            break
+        # block() backtracks to level 0, putting unassigned vars back
+        inc.block(symbols, res.model)
+        assert sat.heap
+        for pos, v in enumerate(sat.heap):
+            assert sat.decidable[v], v
+            assert sat.heap_pos[v] == pos
+        assert all(sat.heap_pos[v] == -1
+                   for v in range(sat.nvars) if not sat.decidable[v])
+
+
+def test_literal_stat_tracks_clauses():
+    p, symbols = _gated_program()
+    inc = solver.Incremental(p)
+    rounds = 0
+    while rounds < 6:
+        res = inc.check()
+        sat = inc.comp.sat
+        assert res.stats['literals'] == sum(len(c) for c in sat.clauses)
+        assert res.stats['clauses'] == len(sat.clauses)
+        if res.status != 'sat':
+            break
+        inc.block(symbols, res.model)
+        rounds += 1
+    assert rounds >= 3
+
+
 def test_decide_first_hint_preserves_answers():
     for seed in range(40):
         rng = random.Random(1000 + seed)

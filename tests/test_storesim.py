@@ -70,6 +70,18 @@ def test_random_weak_reads_are_level_legal():
             assert check(h), (level, seed)
 
 
+def test_random_weak_multi_read_runs_conform():
+    # smallbank-lite transactions read several keys; each read must be
+    # judged together with the transaction's earlier reads
+    for level in (u.CAUSAL, u.READ_COMMITTED):
+        check = checker.check_causal if level == u.CAUSAL else checker.check_rc
+        for sessions, txns in ((2, 2), (3, 2), (4, 3)):
+            for seed in range(40):
+                _, h = run('smallbank-lite', sessions, txns, seed,
+                           ss.ReadPolicy(ss.RANDOM_WEAK, level, seed))
+                assert check(h), (level, sessions, txns, seed)
+
+
 def test_random_weak_finds_anomalies():
     # under causal consistency the two deposits can both read 0; the final
     # balances across seeds must include a lost update
@@ -187,6 +199,24 @@ def test_validate_report_is_deterministic(dd_observed):
     b = ss.validate(*args)
     assert u.emit_trace(a.validating_trace) == u.emit_trace(b.validating_trace)
     assert a.final_state == b.final_state
+
+
+def test_validate_reports_unknown_only_for_solver_unknown(dd_observed,
+                                                         monkeypatch):
+    _, h = dd_observed
+    pred = u.predict(h, u.CAUSAL, u.APPROX_RELAXED)
+    args = (pred, ss.WorkloadProgram('deposit-deposit'), 2, 1, 0, u.CAUSAL)
+
+    def capped(history, timeout=None):
+        raise u.SolverUnknown('state-cap')
+    monkeypatch.setattr(checker, 'check_serializable', capped)
+    assert ss.validate(*args).outcome == 'Unknown'
+
+    def broken(history, timeout=None):
+        raise KeyError('bug')
+    monkeypatch.setattr(checker, 'check_serializable', broken)
+    with pytest.raises(KeyError):
+        ss.validate(*args)
 
 
 def test_validate_rejects_mismatched_replay(dd_observed):
