@@ -2,15 +2,27 @@
 
 From an observed (serializable) history we search for an alternative
 write-read assignment, cut off at per-session boundaries, that is valid
-under the requested weak isolation level yet unserializable.  Three
-strategies are supported:
+under the requested weak isolation level yet unserializable.
+
+One engine serves every strategy.  The constraint program holds only
+feasibility and isolation; `solver.Incremental` enumerates its (boundary,
+choice) candidates, each is decided by the strategy's oracle, and a miss
+blocks the whole assignment (lazy SMT, DPLL(T): Nieuwenhuis, Oliveras &
+Tinelli, JACM 2006).  The oracles are:
 
   - approx-strict:  strict read-event boundaries + the approximate
-    unserializability condition (a provable partial-commit-order cycle,
-    with rank side conditions preventing self-justifying derivations);
+    unserializability condition, a provable partial-commit-order cycle,
+    decided by the least fixpoint of the guarded so/wr/ww/rw/transitivity
+    rules (`_pco_cycle`);
   - approx-relaxed: the same condition with transaction-final boundaries;
-  - exact-strict:   strict boundaries with an exact serializability check
-    per candidate, realized as a CEGAR loop with blocking clauses.
+  - exact-strict:   strict boundaries with the exact serializability check
+    (`checker.check_serializable`) of the candidate prefix.
+
+Candidates come out in lexicographic order: boundaries ascending in
+session order, then each read site in order keeping its observed writer if
+it can, else taking the lowest writer tid.  So the first hit is the
+canonical prediction: the earliest cuts, then the fewest and lowest
+rewirings, whatever path the search took to it.
 """
 
 import logging
@@ -33,13 +45,6 @@ STRATEGIES = (EXACT_STRICT, APPROX_STRICT, APPROX_RELAXED)
 
 CEGAR_CAP = 10000
 
-# deterministic budget for the direct rank-encoding solve; past it the
-# approximate strategies switch to assignment enumeration (see
-# _approx_enumerate), which decides the same question in polynomial time
-# per candidate
-APPROX_CONFLICTS = 3000
-APPROX_DECISIONS = 30000
-
 
 class InconsistentModel(Exception):
     pass
@@ -58,7 +63,7 @@ class PredictedHistory:
     history: ExecutionHistory          # in-boundary prefix, wr rewired
     boundaries: dict                   # sid -> position, None means infinity
     changed_reads: list                # (tid, pos, key, obs_writer, new_writer)
-    witness_cycle: list | None         # pco edge list, Approx only
+    witness_cycle: list | None         # mutual pco pair, Approx only
     level: str
     strategy: str
 
@@ -84,8 +89,10 @@ class PredictionVars:
     """Grounded variables over an observed history.
 
     One choice variable per read site, one boundary per session, and
-    boolean variables for the wr/hb/pco/ww/rw relations on transaction
-    pairs; rank and commit-order witnesses are order-only integers.
+    boolean variables for the wr/hb relations on transaction pairs;
+    commit-order witnesses are order-only integers.  Each choice domain
+    lists the observed writer first, then the other writers by ascending
+    tid, so the solver tries to keep an observed read before rewiring it.
     """
 
     def __init__(self, history, boundary_mode):
@@ -103,23 +110,21 @@ class PredictionVars:
         self.hb = {}          # (t1, t2) -> Var
         self.ww_level = {}    # (t1, t2) -> Var (ww_causal or ww_rc)
         self.co = {}          # tid -> Var
-        self.pco = {}
-        self.ww = {}
-        self.rw = {}
-        self._rank = {}
 
         for (sid, pos, tid, key, obs) in history.read_sites():
-            domain = [w for w in history.writers_of(key) if w != tid]
+            domain = [obs] + [w for w in history.writers_of(key)
+                              if w not in (tid, obs)]
             v = self.program.enum_var('choice[%d][%d]' % (sid, pos), domain)
             self.sites.append((sid, pos, tid, key, obs, domain))
             self.choice[(sid, pos)] = v
         for sid in sorted(history.sessions):
             self.boundary[sid] = self.program.enum_var(
                 'boundary[%d]' % sid, self._boundary_options(sid))
-        # branch on boundaries first (they pin most choices), then choices
-        self.program.metadata['decide_first'] = \
-            [v.name for v in self.boundary.values()] + \
+        # branch on boundaries first (they pin most choices), then choices;
+        # a candidate is this assignment, and blocking forbids it whole
+        self.symbols = [v.name for v in self.boundary.values()] + \
             [v.name for v in self.choice.values()]
+        self.program.metadata['decide_first'] = self.symbols
 
     def _boundary_options(self, sid):
         h = self.history
@@ -129,12 +134,6 @@ class PredictionVars:
         else:
             opts = {h.last_pos(t) for t in h.sessions[sid] if h.txns[t].events}
         return sorted(opts) + [self.inf]
-
-    def rank(self, t1, t2):
-        key = (t1, t2)
-        if key not in self._rank:
-            self._rank[key] = self.program.int_var('rank[%d][%d]' % key)
-        return self._rank[key]
 
     def pin_pos(self, site):
         (sid, pos, tid, key, obs, domain) = site
@@ -302,79 +301,17 @@ def gen_isolation(obs_history, vars, level):
 
 
 def gen_unser_approx(obs_history, vars):
-    h = obs_history
-    prog = vars.program
-    txns = h.committed()
-    writes = {t: {e.key for e in h.txns[t].writes()} for t in txns}
+    """Retired: the approximate condition is no longer encoded.
 
-    for t1 in txns:
-        for t2 in txns:
-            if t1 != t2:
-                vars.pco[(t1, t2)] = prog.bool_var('pco[%d][%d]' % (t1, t2))
-
-    # ww: arbitration forced by a reader of t2 provably after t1
-    for t1 in txns:
-        for t2 in txns:
-            if t1 == t2:
-                continue
-            ds = []
-            for key in sorted(writes[t1] & writes[t2]):
-                for t3 in txns:
-                    if t3 in (t1, t2) or (key, t2, t3) not in vars.wrk:
-                        continue
-                    ds.append(conj(vars.wrk[(key, t2, t3)],
-                                   vars.pco[(t1, t3)],
-                                   lt(vars.rank(t1, t3), vars.rank(t1, t2)),
-                                   vars.wr_guard(t1, key)))
-            if ds:
-                v = prog.bool_var('ww[%d][%d]' % (t1, t2))
-                vars.ww[(t1, t2)] = v
-                prog.add(eq(v, disj(ds)))
-
-    # rw: anti-dependency from a reader to a later writer of the key
-    reads = {t: {e.key for e in h.txns[t].reads()} for t in txns}
-    for t1 in txns:
-        for t2 in txns:
-            if t1 == t2:
-                continue
-            ds = []
-            for key in sorted(reads[t1] & writes[t2]):
-                for t3 in txns:
-                    if t3 == t2 or (key, t3, t1) not in vars.wrk:
-                        continue
-                    ds.append(conj(vars.wrk[(key, t3, t1)],
-                                   vars.pco[(t3, t2)],
-                                   lt(vars.rank(t3, t2), vars.rank(t1, t2)),
-                                   vars.wr_guard(t2, key)))
-            if ds:
-                v = prog.bool_var('rw[%d][%d]' % (t1, t2))
-                vars.rw[(t1, t2)] = v
-                prog.add(eq(v, disj(ds)))
-
-    for (t1, t2), v in vars.pco.items():
-        ds = _base(vars, t1, t2)
-        if (t1, t2) in vars.ww:
-            ds.append(vars.ww[(t1, t2)])
-        if (t1, t2) in vars.rw:
-            ds.append(vars.rw[(t1, t2)])
-        for t3 in txns:
-            if t3 in (t1, t2):
-                continue
-            ds.append(conj(vars.pco[(t1, t3)], vars.pco[(t3, t2)],
-                           lt(vars.rank(t1, t3), vars.rank(t1, t2)),
-                           lt(vars.rank(t3, t2), vars.rank(t1, t2))))
-        prog.add(eq(v, disj(ds)))
-
-    cyc = []
-    for i, t1 in enumerate(txns):
-        for t2 in txns[i + 1:]:
-            cyc.append(conj(vars.pco[(t1, t2)], vars.pco[(t2, t1)]))
-    prog.add(disj(cyc))
-    return prog
+    `_pco_cycle` decides it per candidate.  The name stays only because
+    perfbench/tracing.py wraps it by name; remove the two together.
+    """
+    raise NotImplementedError('the approximate condition is decided by '
+                              '_pco_cycle; call predict()')
 
 
 def extract_predicted_history(model, obs_history, vars, level=None,
-                              strategy=None, witness=True):
+                              strategy=None):
     h = obs_history
     bnum = {}
     boundaries = {}
@@ -434,43 +371,8 @@ def extract_predicted_history(model, obs_history, vars, level=None,
         check = checker.check_causal if level == CAUSAL else checker.check_rc
         if check(prefix).kind != 'conforms':
             raise InconsistentModel('prefix violates %s' % level)
-
-    cycle = None
-    if witness and vars.pco:
-        cycle = []
-        for (t1, t2), v in sorted(vars.pco.items()):
-            if t1 < t2 and model[v] and model[vars.pco[(t2, t1)]]:
-                cycle.append((t1, t2, 'pco'))
-                cycle.append((t2, t1, 'pco'))
-    return PredictedHistory(prefix, boundaries, changed, cycle,
+    return PredictedHistory(prefix, boundaries, changed, None,
                             level, strategy)
-
-
-def _minimize_boundaries(vars, res, solve):
-    """Lexicographically shrink the boundaries of a sat model.
-
-    Predictions are canonical (and more useful to validate) when they cut
-    as early as possible; each session is minimized in turn by re-solving
-    with the earlier sessions fixed.  Falls back to the model in hand if a
-    trial solve comes back unknown.
-    """
-    prog = vars.program.copy()
-    best = res
-    for sid in sorted(vars.boundary):
-        bv = vars.boundary[sid]
-        cur = best.model[bv]
-        for opt in vars._boundary_options(sid):
-            if opt >= cur:
-                break
-            trial = prog.copy()
-            trial.add(eq(bv, opt))
-            r = solve(trial, limited=True)
-            if r.status == 'sat':
-                best = r
-                cur = opt
-                break
-        prog.add(eq(bv, cur))
-    return best
 
 
 def _guard_value(history, mode, t1, key, bnum):
@@ -487,10 +389,11 @@ def _guard_value(history, mode, t1, key, bnum):
 def _pco_cycle(history, model, vars):
     """Mutual pco pair under a fixed (choice, boundary) assignment, if any.
 
-    For a fixed assignment the rank side conditions admit a model exactly
-    when the least fixpoint of the guarded ww/rw/transitivity rules does
-    (ranks are derivation rounds), so the encoding's cycle condition
-    reduces to computing that fixpoint and looking for a mutual pair.
+    The approximate oracle.  pco is the least fixpoint of so and the chosen
+    wr, closed under the guarded ww and rw rules and transitivity; a least
+    fixpoint admits no self-justifying edge, since each derived edge rests
+    on edges of earlier rounds.  A mutual pair is a pco cycle, which proves
+    the prefix unserializable.
     """
     h = history
     txns = h.committed()
@@ -546,48 +449,32 @@ def _pco_cycle(history, model, vars):
     return None
 
 
-def _approx_enumerate(obs_history, level, mode, strategy, budget, note):
-    """Complete fallback for the approximate strategies.
-
-    Enumerates feasible (choice, boundary) assignments with blocking
-    clauses and decides each by the pco fixpoint; equivalent to the rank
-    encoding but immune to its worst-case search behavior.
-    """
-    vars = _build_program(obs_history, level, mode, approx=False)
-    inc = solver.Incremental(vars.program)
-    symbols = [v.name for v in vars.boundary.values()] + \
-              [v.name for v in vars.choice.values()]
-    for _ in range(CEGAR_CAP):
-        res = note(inc.check(timeout=budget()))
-        if res.status == 'unknown':
-            return Unknown(res.reason)
-        if res.status == 'unsat':
-            return None
-        pair = _pco_cycle(obs_history, res.model, vars)
-        if pair is not None:
-            pred = extract_predicted_history(res.model, obs_history, vars,
-                                             level=level, strategy=strategy,
-                                             witness=False)
-            pred.witness_cycle = [(pair[0], pair[1], 'pco'),
-                                  (pair[1], pair[0], 'pco')]
-            return pred
-        inc.block(symbols, res.model)
-    return Unknown('iteration-cap')
+def _approx_oracle(obs_history, model, vars, level, strategy, deadline):
+    pair = _pco_cycle(obs_history, model, vars)
+    if pair is None:
+        return None
+    pred = extract_predicted_history(model, obs_history, vars, level=level,
+                                     strategy=strategy)
+    pred.witness_cycle = [(pair[0], pair[1], 'pco'),
+                          (pair[1], pair[0], 'pco')]
+    return pred
 
 
-def _build_program(history, level, mode, approx):
-    vars = PredictionVars(history, mode)
-    gen_feasibility(history, vars)
-    gen_isolation(history, vars, level)
-    if approx:
-        gen_unser_approx(history, vars)
-    return vars
+def _exact_oracle(obs_history, model, vars, level, strategy, deadline):
+    cand = extract_predicted_history(model, obs_history, vars, level=level,
+                                     strategy=strategy)
+    timeout = None if deadline is None else deadline - time.monotonic()
+    verdict = checker.check_serializable(cand.history, timeout=timeout)
+    return cand if verdict.kind == 'unserializable' else None
 
 
 def predict(obs_history, level, strategy, timeout=None, stats=None):
     """Returns PredictedHistory, None (no prediction), or Unknown.
 
-    When given, stats is filled with gen_s, solve_s and literals.
+    The prediction is the lexicographically first candidate that the
+    strategy's oracle accepts.  timeout is a deadline for the whole call,
+    checked before each candidate.  When given, stats is filled with gen_s,
+    solve_s and literals.
     """
     if strategy not in STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
@@ -596,70 +483,39 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
     stats.update(gen_s=0.0, solve_s=0.0, literals=0)
     if len(obs_history.committed()) < 2:
         return None
+    deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        if checker.check_serializable(obs_history).kind != 'serializable':
+        if checker.check_serializable(obs_history,
+                                      timeout=timeout).kind != 'serializable':
             log.warning('observed history is not serializable')
     except solver.SolverUnknown:
         log.warning('could not verify the observed history is serializable')
 
-    deadline = None if timeout is None else time.monotonic() + timeout
-
-    def budget():
-        return None if deadline is None else max(deadline - time.monotonic(),
-                                                 0.001)
-
-    def note(res):
-        stats['solve_s'] += res.stats.get('solve_s', 0.0)
-        stats['literals'] = max(stats['literals'],
-                                res.stats.get('literals', 0))
-        return res
-
-    def solve(prog, limited=False):
-        if limited:
-            return note(solver.check_sat(prog, timeout=budget(),
-                                         conflict_limit=APPROX_CONFLICTS,
-                                         decision_limit=APPROX_DECISIONS))
-        return note(solver.check_sat(prog, timeout=budget()))
-
-    if strategy in (APPROX_STRICT, APPROX_RELAXED):
-        mode = 'strict' if strategy == APPROX_STRICT else 'relaxed'
-        t0 = time.monotonic()
-        vars = _build_program(obs_history, level, mode, approx=True)
-        stats['gen_s'] = time.monotonic() - t0
-        res = solve(vars.program, limited=True)
-        if res.status == 'unsat':
-            return None
-        if res.status == 'sat':
-            res = _minimize_boundaries(vars, res, solve)
-            return extract_predicted_history(res.model, obs_history, vars,
-                                             level=level, strategy=strategy)
-        # the rank search blew its budget; fall back to enumerating
-        # feasible assignments and deciding each with the pco fixpoint
-        return _approx_enumerate(obs_history, level, mode, strategy,
-                                 budget, note)
-
-    # exact-strict: CEGAR over (choice, boundary) candidates
+    mode = 'relaxed' if strategy == APPROX_RELAXED else 'strict'
+    oracle = _exact_oracle if strategy == EXACT_STRICT else _approx_oracle
     t0 = time.monotonic()
-    vars = _build_program(obs_history, level, 'strict', approx=False)
+    vars = PredictionVars(obs_history, mode)
+    gen_feasibility(obs_history, vars)
+    gen_isolation(obs_history, vars, level)
     stats['gen_s'] = time.monotonic() - t0
     inc = solver.Incremental(vars.program)
-    symbols = [v.name for v in vars.choice.values()] + \
-              [v.name for v in vars.boundary.values()]
     for _ in range(CEGAR_CAP):
-        res = note(inc.check(timeout=budget()))
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
+            return Unknown('timeout')
+        res = inc.check(timeout=left)
+        stats['solve_s'] += res.stats['solve_s']
+        stats['literals'] = max(stats['literals'], res.stats['literals'])
         if res.status == 'unknown':
             return Unknown(res.reason)
         if res.status == 'unsat':
             return None
-        cand = extract_predicted_history(res.model, obs_history, vars,
-                                         level=level, strategy=EXACT_STRICT,
-                                         witness=False)
         try:
-            verdict = checker.check_serializable(cand.history,
-                                                 timeout=budget())
+            pred = oracle(obs_history, res.model, vars, level, strategy,
+                          deadline)
         except solver.SolverUnknown as e:
             return Unknown(e.reason)
-        if verdict.kind == 'unserializable':
-            return cand
-        inc.block(symbols, res.model)
+        if pred is not None:
+            return pred
+        inc.block(vars.symbols, res.model)
     return Unknown('iteration-cap')

@@ -1,7 +1,7 @@
 """Finite-domain constraint programs and a native backend.
 
 The constraint language is quantifier-free: Bool variables, Int variables
-constrained only by order comparisons (rank, commit orders), and Enum
+constrained only by order comparisons (commit orders), and Enum
 variables over small finite integer domains (writer choices, boundaries).
 Functions are grounded eagerly to one variable per argument tuple by the
 callers, so the backend only ever sees propositional structure plus
@@ -180,19 +180,28 @@ def _aeval(x, model):
 
 
 def evaluate(f, model):
+    """Truth value of f; model maps variable names to values (a Model or
+    a plain dict)."""
     if isinstance(f, Var):
         return bool(model[f.name])
     op = f.op
+    # plain loops: this runs over every assertion on each sat result
+    if op == 'and':
+        for a in f.args:
+            if not evaluate(a, model):
+                return False
+        return True
+    if op == 'or':
+        for a in f.args:
+            if evaluate(a, model):
+                return True
+        return False
     if op == 'true':
         return True
     if op == 'false':
         return False
     if op == 'not':
         return not evaluate(f.args[0], model)
-    if op == 'and':
-        return all(evaluate(a, model) for a in f.args)
-    if op == 'or':
-        return any(evaluate(a, model) for a in f.args)
     if op == 'implies':
         return (not evaluate(f.args[0], model)) or evaluate(f.args[1], model)
     if op == 'eq':
@@ -238,6 +247,7 @@ class _Sat:
         self.decisions = 0
         self.decidable = []   # gates are implied, never decided or heaped
         self.decide_first = []  # vars tried before the activity heap
+        self.first_free = 0     # decide_first[:first_free] are assigned
         # theory: order atoms
         self.order_edge = {}  # var -> (a, b) meaning var true <=> a < b
         self.adj = {}         # node -> list of (dst, strict, lit)
@@ -351,6 +361,32 @@ class _Sat:
         self.literals += len(out)
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
+
+    def add_blocking_clause(self, lits):
+        """Add a clause that the assignment in hand falsifies.
+
+        Backjumps only as far as the clause needs: to the level where it
+        becomes unit, which it then propagates, or below its top level when
+        two of its literals share that level.  An enumeration keeps the
+        decisions below the level it blocks instead of redoing them.
+        """
+        if not self.ok:
+            return
+        level = self.level
+        lits = sorted(set(lits), key=lambda l: level[l >> 1], reverse=True)
+        second = level[lits[1] >> 1] if len(lits) > 1 else 0
+        if second == 0 or any(self._lit_value(l) != 0 for l in lits):
+            self._cancel_until(0)
+            self.add_clause(lits)
+            return
+        top = level[lits[0] >> 1]
+        self._cancel_until(top - 1 if second == top else second)
+        self.clauses.append(lits)
+        self.literals += len(lits)
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
+        if second < top:
+            self._enqueue(lits[0], lits)
 
     def _lit_value(self, l):
         a = self.assign[l >> 1]
@@ -475,6 +511,7 @@ class _Sat:
                 self._heap_insert(v)
         del self.trail[bound:]
         del self.trail_lim[lvl:]
+        self.first_free = 0
         self.qhead = bound
         if self.tqhead > bound:
             self.tqhead = bound
@@ -534,13 +571,22 @@ class _Sat:
         self._enqueue(learnt[0], learnt)
 
     def _decide(self):
-        for v in self.decide_first:
+        """Next decision literal, or None when every variable is assigned.
+
+        Listed atoms always go positive, whatever their saved phase: with a
+        fixed order and polarity, the first model found (and, with blocking
+        clauses, each next one) is the lexicographically first over them.
+        """
+        first, n = self.decide_first, len(self.decide_first)
+        while self.first_free < n:
+            v = first[self.first_free]
             if self.assign[v] == -1:
-                return v
+                return 2 * v
+            self.first_free += 1
         while self.heap:
             v = self._heap_pop()
             if self.assign[v] == -1:
-                return v
+                return 2 * v + (0 if self.phase[v] else 1)
         return None
 
     def solve(self, deadline=None, conflict_limit=None, decision_limit=None):
@@ -572,15 +618,15 @@ class _Sat:
                     restart_limit = int(restart_limit * 1.3) + 1
                     self._cancel_until(0)
             else:
-                v = self._decide()
-                if v is None:
+                lit = self._decide()
+                if lit is None:
                     return 'sat'
                 if decision_limit is not None and self.decisions >= decision_limit:
-                    self._heap_insert(v)
+                    self._heap_insert(lit >> 1)
                     return 'unknown'
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(2 * v + (0 if self.phase[v] else 1), None)
+                self._enqueue(lit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +665,13 @@ class _Compiler:
                     for y in range(x + 1, len(ohs)):
                         self.sat.add_clause([ohs[x] ^ 1, ohs[y] ^ 1])
         # decision order hint: listed enum vars are branched on first, in
-        # domain order with the value-atom tried positively
+        # domain order with the value-atom always tried positively
         for name in program.metadata.get('decide_first', ()):
             v = program.vars.get(name)
             if v is None or v.sort in (BOOL, INT):
                 continue
-            for val in v.sort:
-                sv = self.enum_atom[(name, val)]
-                self.sat.decide_first.append(sv)
-                self.sat.phase[sv] = True
+            self.sat.decide_first.extend(self.enum_atom[(name, val)]
+                                         for val in v.sort)
 
     def _order_atom(self, a, b):
         key = (a, b)
@@ -814,7 +858,7 @@ class _Compiler:
         return Model(values)
 
 
-def _finish(comp, program, status, deadline, t0):
+def _finish(comp, program, status, deadline, t0, blocked=None):
     stats = {
         'literals': comp.sat.literals,
         'clauses': len(comp.sat.clauses),
@@ -829,9 +873,14 @@ def _finish(comp, program, status, deadline, t0):
     if status == 'unsat':
         return Result('unsat', stats=stats)
     model = comp.extract_model()
+    values = model.values
     for f in program.assertions:
-        if not evaluate(f, model):
+        if not evaluate(f, values):
             raise SolverError('model fails re-evaluation: %r' % (f,))
+    for names, seen in (blocked or {}).items():
+        if tuple(values[n] for n in names) in seen:
+            raise SolverError('model repeats a blocked assignment to %s'
+                              % (names,))
     return Result('sat', model=model, stats=stats)
 
 
@@ -852,13 +901,19 @@ class Incremental:
 
     Learned clauses, activities, and phases persist across calls, which
     makes model-enumeration loops (blocking clause per model) much cheaper
-    than recompiling the program every round.
+    than recompiling the program every round.  With a `decide_first` hint,
+    the enumeration yields models in lexicographic order over the listed
+    enum variables, each in its domain order.
     """
 
     def __init__(self, program):
         self.program = program
         self.comp = _Compiler(program)
         self.comp.assert_all()
+        # symbol-name tuple -> set of blocked value tuples; the model
+        # re-check looks a model up here instead of evaluating one
+        # blocking formula per round
+        self.blocked = {}
 
     def add(self, formula):
         self.program.add(formula)
@@ -866,29 +921,29 @@ class Incremental:
         self.comp.sat.add_clause([self.comp.compile(formula)])
 
     def block(self, symbols, model):
-        """Forbid the model's assignment to the given enum/bool symbols."""
-        binds = []
-        for s in symbols:
-            v = self.program.vars[s] if isinstance(s, str) else s
-            val = model[v.name]
-            if v.sort == BOOL:
-                binds.append(eq(v, TRUE if val else FALSE))
-            else:
-                binds.append(eq(v, int(val)))
-        self.add(neg(conj(*binds)))
+        """Forbid the model's assignment to the given enum/bool symbols.
 
-    def check(self, timeout=None, conflict_limit=None, decision_limit=None):
+        Called right after the check that returned the model, it keeps the
+        search state below the blocked decisions for the next check.
+        """
+        names = tuple(s if isinstance(s, str) else s.name for s in symbols)
+        values = tuple(model[n] for n in names)
+        self.blocked.setdefault(names, set()).add(values)
+        comp = self.comp
+        clause = []
+        for n, val in zip(names, values):
+            if self.program.vars[n].sort == BOOL:
+                clause.append(2 * comp.bool_atom[n] ^ bool(val))
+            else:
+                clause.append(2 * comp.enum_atom[(n, val)] ^ 1)
+        comp.sat.add_blocking_clause(clause)
+
+    def check(self, timeout=None):
         t0 = time.monotonic()
-        sat = self.comp.sat
-        sat._cancel_until(0)
         deadline = None if timeout is None else t0 + timeout
-        status = sat.solve(
-            deadline=deadline,
-            conflict_limit=None if conflict_limit is None
-            else sat.conflicts + conflict_limit,
-            decision_limit=None if decision_limit is None
-            else sat.decisions + decision_limit)
-        return _finish(self.comp, self.program, status, deadline, t0)
+        status = self.comp.sat.solve(deadline=deadline)
+        return _finish(self.comp, self.program, status, deadline, t0,
+                       self.blocked)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ from .solver import SolverUnknown
 LATEST_WRITER = 'latest-writer'
 RANDOM_WEAK = 'random-weak'
 
-DIVERGENCE_REASONS = ('key-mismatch', 'writer-missing', 'isolation-illegal',
-                      'abort-rewind', 'commit-flip')
-
-
 class ReplayMismatch(Exception):
     pass
 
@@ -52,7 +48,6 @@ class KVStore:
 
     def __init__(self):
         self.versions = {}   # key -> [(tid, value)], committed only
-        self.committed = {T0}
 
     def last_value_of(self, tid, key):
         for t, v in reversed(self.versions.get(key, [])):
@@ -63,7 +58,6 @@ class KVStore:
     def apply(self, tid, writes):
         for key, value in writes:
             self.versions.setdefault(key, []).append((tid, value))
-        self.committed.add(tid)
 
 
 class _Run:

@@ -1,9 +1,11 @@
 """Predictor: canonical fixtures, boundary semantics, and soundness samples."""
 
+import time
+
 import pytest
 
 import unserial as u
-from unserial import checker, storesim as ss
+from unserial import checker, predictor, solver, storesim as ss
 
 from conftest import rank_trap_history, make_history
 
@@ -70,7 +72,7 @@ def test_dw_rc_strict_sat(dw_observed):
     assert isinstance(e, u.PredictedHistory)
 
 
-# --- rank regression ---------------------------------------------------------
+# --- self-justification regression -------------------------------------------
 
 @pytest.mark.parametrize('level,strategy', ALL)
 def test_rank_trap_never_unserializable(level, strategy):
@@ -136,6 +138,89 @@ def test_strategy_ordering_sample():
                                   u.PredictedHistory)
                 assert isinstance(u.predict(h, level, u.APPROX_RELAXED),
                                   u.PredictedHistory)
+
+
+# --- canonical predictions -----------------------------------------------------
+
+def _all_candidates(h, level, mode):
+    """Every feasible (boundary, choice) candidate, by exhaustive blocking.
+
+    The decision-order hint is dropped, so the candidates come out in the
+    solver's own order, and the minimum below depends on none of it.
+    """
+    vars = predictor.PredictionVars(h, mode)
+    predictor.gen_feasibility(h, vars)
+    predictor.gen_isolation(h, vars, level)
+    del vars.program.metadata['decide_first']
+    inc = solver.Incremental(vars.program)
+    models = []
+    while (res := inc.check()).status == 'sat':
+        models.append(res.model)
+        inc.block(vars.symbols, res.model)
+    assert res.status == 'unsat'
+    return vars, models
+
+
+def _lex_key(vars, model):
+    # boundaries ascending in session order (no cut is the largest), then
+    # each read site: its observed writer first, then ascending tid
+    return (tuple(model[vars.boundary[sid]] for sid in sorted(vars.boundary)),
+            tuple((model[vars.choice[(sid, pos)]] != obs,
+                   model[vars.choice[(sid, pos)]])
+                  for (sid, pos, _tid, _key, obs, _dom) in vars.sites))
+
+
+def _accepts(strategy, h, vars, model):
+    if strategy == u.EXACT_STRICT:
+        cand = predictor.extract_predicted_history(model, h, vars)
+        return (checker.oracle_serializable(cand.history).kind
+                == 'unserializable')
+    return predictor._pco_cycle(h, model, vars) is not None
+
+
+def test_predictions_are_the_lexicographic_minimum():
+    # 3x2 runs have 1000-2800 candidates each, so only two join the sample
+    runs = [observed(w, s, t, seed)
+            for w in ('deposit-deposit', 'deposit-withdraw', 'voter',
+                      'smallbank-lite')
+            for (s, t) in ((2, 1), (2, 2), (3, 1))
+            for seed in range(5)]
+    runs += [observed(w, 3, 2, 0) for w in ('deposit-withdraw', 'voter')]
+    assert len(runs) >= 60
+    hits = 0
+    for i, h in enumerate(runs):
+        for level in (u.CAUSAL, u.READ_COMMITTED):
+            for mode in ('strict', 'relaxed'):
+                vars, models = _all_candidates(h, level, mode)
+                strategies = ((u.EXACT_STRICT, u.APPROX_STRICT)
+                              if mode == 'strict' else (u.APPROX_RELAXED,))
+                for strategy in strategies:
+                    passing = [m for m in models
+                               if _accepts(strategy, h, vars, m)]
+                    pred = u.predict(h, level, strategy)
+                    label = (i, level, strategy)
+                    if not passing:
+                        assert pred is None, label
+                        continue
+                    hits += 1
+                    best = predictor.extract_predicted_history(
+                        min(passing, key=lambda m: _lex_key(vars, m)), h,
+                        vars)
+                    assert pred.boundaries == best.boundaries, label
+                    assert pred.changed_reads == best.changed_reads, label
+    assert hits >= 60
+
+
+@pytest.mark.parametrize('strategy', [u.APPROX_RELAXED, u.EXACT_STRICT])
+def test_timeout_is_a_hard_deadline(strategy):
+    # voter 4x4 under causal takes several seconds to answer "no
+    # prediction"; a 0.5 s deadline must end the call within 1 s
+    h = observed('voter', 4, 4, 0)
+    t0 = time.monotonic()
+    r = u.predict(h, u.CAUSAL, strategy, timeout=0.5)
+    elapsed = time.monotonic() - t0
+    assert isinstance(r, u.Unknown) and r.reason == 'timeout'
+    assert elapsed < 1.0, elapsed
 
 
 def test_predict_determinism(dw_observed):

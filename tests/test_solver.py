@@ -286,6 +286,104 @@ def test_decide_first_hint_preserves_answers():
         assert solver.check_sat(hinted).status == plain
 
 
+# --- canonical enumeration order ---------------------------------------------
+
+def _enumerate(inc, symbols):
+    models = []
+    while (res := inc.check()).status == 'sat':
+        models.append(tuple(res.model[v] for v in symbols))
+        inc.block(symbols, res.model)
+    assert res.status == 'unsat'
+    return models
+
+
+def _index_key(domains):
+    return lambda m: tuple(d.index(v) for d, v in zip(domains, m))
+
+
+def test_blocking_enumerates_in_lexicographic_order():
+    # four pairwise-distinct enums; x2 taking its third value leaves four
+    # clauses over two free bools, which unit propagation cannot refute,
+    # so the very first check runs into a conflict and learns from it
+    domain = (2, 0, 3, 1)
+    p = solver.Program()
+    xs = [p.enum_var('x%d' % i, domain) for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            p.add(neg(eq(xs[i], xs[j])))
+    b, c = p.bool_var('b'), p.bool_var('c')
+    for lb in (b, neg(b)):
+        for lc in (c, neg(c)):
+            p.add(implies(eq(xs[2], domain[2]), disj(lb, lc)))
+    p.metadata['decide_first'] = [x.name for x in xs]
+    inc = solver.Incremental(p)
+    first = inc.check()
+    assert inc.comp.sat.conflicts > 0, 'the first check must learn a clause'
+    models = [tuple(first.model[x] for x in xs)]
+    inc.block(xs, first.model)
+    models += _enumerate(inc, xs)
+    expected = sorted((m for m in itertools.permutations(domain)
+                       if m[2] != domain[2]), key=_index_key([domain] * 4))
+    assert models[0] == (2, 0, 1, 3)
+    assert models == expected
+
+
+def test_blocking_order_is_lexicographic_on_random_programs():
+    # domain order, not numeric order, defines the lexicographic order
+    learned = 0
+    for seed in range(60):
+        rng = random.Random(7000 + seed)
+        p = solver.Program()
+        domains = [tuple(rng.sample(range(4), rng.randint(2, 4)))
+                   for _ in range(3)]
+        es = [p.enum_var('e%d' % i, d) for i, d in enumerate(domains)]
+        b = p.bool_var('b')
+        for _ in range(rng.randint(2, 5)):
+            e1, e2 = rng.sample(range(3), 2)
+            clause = [neg(eq(es[e1], rng.choice(domains[e1]))),
+                      neg(eq(es[e2], rng.choice(domains[e2])))]
+            if rng.random() < 0.5:
+                clause.append(b if rng.random() < 0.5 else neg(b))
+            p.add(disj(*clause))
+        p.metadata['decide_first'] = [e.name for e in es]
+        inc = solver.Incremental(p)
+        models = _enumerate(inc, es)
+        learned += inc.comp.sat.conflicts > 0
+        key = _index_key(domains)
+        assert models == sorted(models, key=key), seed
+        assert models == sorted(
+            (m for m in itertools.product(*domains)
+             if any(_brute_force_extends(p, es, m, bv)
+                    for bv in (False, True))), key=key), seed
+    assert learned > 0
+
+
+def _brute_force_extends(program, es, values, bval):
+    model = solver.Model({e.name: v for e, v in zip(es, values)} | {'b': bval})
+    return all(evaluate(f, model) for f in program.assertions)
+
+
+def test_blocked_assignments_are_not_program_assertions():
+    p = solver.Program()
+    a = p.enum_var('a', (0, 1, 2))
+    p.add(neg(eq(a, 1)))
+    inc = solver.Incremental(p)
+    assert sorted(_enumerate(inc, [a])) == [(0,), (2,)]
+    assert len(p.assertions) == 1
+    assert inc.blocked == {('a',): {(0,), (2,)}}
+
+
+def test_recheck_rejects_a_blocked_model():
+    p = solver.Program()
+    a = p.enum_var('a', (0, 1))
+    inc = solver.Incremental(p)
+    res = inc.check()
+    # a blocked assignment recorded without its clause reaching the core
+    inc.blocked[('a',)] = {(res.model['a'],)}
+    with pytest.raises(solver.SolverError):
+        inc.check()
+
+
 def test_to_smtlib_smoke():
     p = solver.Program()
     a = p.int_var('a')
