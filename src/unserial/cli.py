@@ -153,8 +153,11 @@ def cmd_predict(args):
 
 def cmd_validate(args):
     cfg = RunConfig.from_args(args)
-    predicted = predictor.predicted_from_trace(_load_trace(args.predicted),
-                                               cfg.isolation)
+    try:
+        predicted = predictor.predicted_from_trace(
+            _load_trace(args.predicted), cfg.isolation)
+    except MalformedTrace as e:
+        raise ConfigError('bad predicted history: %s' % e)
     try:
         report = storesim.validate(predicted, cfg.program(), cfg.sessions,
                                    cfg.txns, cfg.seed, cfg.isolation)

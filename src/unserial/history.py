@@ -132,14 +132,7 @@ class ExecutionHistory:
                 (a, b) for a, bs in closed.items() for b in bs if a != b)
         return self._hb
 
-    # per-transaction read/write position indexes
-    def rdpos_k(self, tid, key):
-        return [e.pos for e in self.txns[tid].events
-                if e.kind == 'r' and e.key == key]
-
-    def rdpos_star(self, tid):
-        return [e.pos for e in self.txns[tid].events if e.kind == 'r']
-
+    # per-transaction position indexes
     def wrpos_k(self, tid, key):
         pos = None
         for e in self.txns[tid].events:

@@ -5,15 +5,18 @@ write-read assignment, cut off at per-session boundaries, that is valid
 under the requested weak isolation level yet unserializable.
 
 One engine serves every strategy.  The constraint program holds only
-feasibility and isolation; `solver.Incremental` enumerates its (boundary,
-choice) candidates, each is decided by the strategy's oracle, and a miss
-blocks the whole assignment (lazy SMT, DPLL(T): Nieuwenhuis, Oliveras &
-Tinelli, JACM 2006).  The oracles are:
+feasibility: the boundary options, canonical pinning of the reads outside
+a boundary, and writer visibility.  `solver.Incremental` enumerates its
+(boundary, choice) candidates; each candidate's in-boundary prefix must
+conform to the level (`checker.check_causal` or `checker.check_rc`, cycle
+checks once the history is fixed: Biswas & Enea, OOPSLA 2019) and is then
+decided by the strategy's oracle.  A miss blocks the whole assignment.
+The oracles are:
 
   - approx-strict:  strict read-event boundaries + the approximate
     unserializability condition, a provable partial-commit-order cycle,
-    decided by the least fixpoint of the guarded so/wr/ww/rw/transitivity
-    rules (`_pco_cycle`);
+    decided by the least fixpoint of the so/wr/ww/rw/transitivity rules
+    over the prefix (`_pco_cycle`);
   - approx-relaxed: the same condition with transaction-final boundaries;
   - exact-strict:   strict boundaries with the exact serializability check
     (`checker.check_serializable`) of the candidate prefix.
@@ -27,11 +30,11 @@ rewirings, whatever path the search took to it.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .history import T0, Event, Transaction, ExecutionHistory, build_history
 from . import checker, solver, traceio
-from .solver import conj, disj, eq, implies, le, lt, TRUE
+from .solver import conj, eq, implies, le, lt, TRUE
 
 log = logging.getLogger(__name__)
 
@@ -42,8 +45,6 @@ EXACT_STRICT = 'exact-strict'
 APPROX_STRICT = 'approx-strict'
 APPROX_RELAXED = 'approx-relaxed'
 STRATEGIES = (EXACT_STRICT, APPROX_STRICT, APPROX_RELAXED)
-
-CEGAR_CAP = 10000
 
 
 class InconsistentModel(Exception):
@@ -88,11 +89,10 @@ def predicted_from_trace(trace, level, strategy=None):
 class PredictionVars:
     """Grounded variables over an observed history.
 
-    One choice variable per read site, one boundary per session, and
-    boolean variables for the wr/hb relations on transaction pairs;
-    commit-order witnesses are order-only integers.  Each choice domain
-    lists the observed writer first, then the other writers by ascending
-    tid, so the solver tries to keep an observed read before rewiring it.
+    One choice variable per read site and one boundary per session.  Each
+    choice domain lists the observed writer first, then the other writers
+    by ascending tid, so the solver tries to keep an observed read before
+    rewiring it.
     """
 
     def __init__(self, history, boundary_mode):
@@ -105,11 +105,6 @@ class PredictionVars:
         self.sites = []       # (sid, pos, tid, key, obs_writer, domain)
         self.choice = {}      # (sid, pos) -> Var
         self.boundary = {}    # sid -> Var
-        self.wrk = {}         # (key, t1, t2) -> Var
-        self.wr = {}          # (t1, t2) -> Var
-        self.hb = {}          # (t1, t2) -> Var
-        self.ww_level = {}    # (t1, t2) -> Var (ww_causal or ww_rc)
-        self.co = {}          # tid -> Var
 
         for (sid, pos, tid, key, obs) in history.read_sites():
             domain = [obs] + [w for w in history.writers_of(key)
@@ -158,7 +153,6 @@ class PredictionVars:
 
 
 def gen_feasibility(obs_history, vars, boundary_mode=None):
-    h = obs_history
     prog = vars.program
     if boundary_mode is not None and boundary_mode != vars.mode:
         raise ValueError('boundary mode mismatch')
@@ -177,127 +171,18 @@ def gen_feasibility(obs_history, vars, boundary_mode=None):
                 continue
             prog.add(implies(conj(eq(c, t1), le(pos, b)),
                              vars.wr_guard(t1, key)))
-
-    # wr_k and wr as definitional equalities over the choices
-    by_reader = {}
-    for site in vars.sites:
-        (sid, pos, tid, key, obs, domain) = site
-        by_reader.setdefault((key, tid), []).append(site)
-    for (key, t2), sites in sorted(by_reader.items()):
-        for t1 in h.writers_of(key):
-            if t1 == t2:
-                continue
-            ds = []
-            for (sid, pos, _tid, _key, _obs, domain) in sites:
-                if t1 in domain:
-                    ds.append(conj(eq(vars.choice[(sid, pos)], t1),
-                                   le(pos, vars.boundary[sid])))
-            if not ds:
-                continue
-            v = prog.bool_var('wr[%s][%d][%d]' % (key, t1, t2))
-            vars.wrk[(key, t1, t2)] = v
-            prog.add(eq(v, disj(ds)))
-    pairs = {}
-    for (key, t1, t2), v in vars.wrk.items():
-        pairs.setdefault((t1, t2), []).append(v)
-    for (t1, t2), vs in sorted(pairs.items()):
-        v = prog.bool_var('wrany[%d][%d]' % (t1, t2))
-        vars.wr[(t1, t2)] = v
-        prog.add(eq(v, disj(vs)))
     return prog
-
-
-def _base(vars, t1, t2):
-    """so constant or wr variable disjuncts for the pair, if any."""
-    ds = []
-    if vars.history.so(t1, t2):
-        ds.append(TRUE)
-    if (t1, t2) in vars.wr:
-        ds.append(vars.wr[(t1, t2)])
-    return ds
 
 
 def gen_isolation(obs_history, vars, level):
-    h = obs_history
-    prog = vars.program
-    txns = h.committed()
+    """Retired: isolation is no longer encoded.
 
-    # hb as the closure of so and the chosen wr
-    for t1 in txns:
-        for t2 in txns:
-            if t1 == t2 or t2 == T0:
-                continue
-            vars.hb[(t1, t2)] = prog.bool_var('hb[%d][%d]' % (t1, t2))
-    for (t1, t2), v in vars.hb.items():
-        ds = _base(vars, t1, t2)
-        for t3 in txns:
-            if t3 in (t1, t2, T0):
-                continue
-            tail = _base(vars, t3, t2)
-            if not tail:
-                continue
-            ds.append(conj(vars.hb[(t1, t3)], disj(tail)))
-        prog.add(eq(v, disj(ds)))
-
-    writes = {t: {e.key for e in h.txns[t].writes()} for t in txns}
-    if level == CAUSAL:
-        for t1 in txns:
-            for t2 in txns:
-                if t1 == t2:
-                    continue
-                ds = []
-                for key in sorted(writes[t1] & writes[t2]):
-                    for t3 in txns:
-                        if t3 in (t1, t2) or (key, t2, t3) not in vars.wrk:
-                            continue
-                        ds.append(conj(vars.wrk[(key, t2, t3)],
-                                       vars.hb[(t1, t3)],
-                                       vars.wr_guard(t1, key)))
-                if ds:
-                    v = prog.bool_var('wwc[%d][%d]' % (t1, t2))
-                    vars.ww_level[(t1, t2)] = v
-                    prog.add(eq(v, disj(ds)))
-        co_name = 'co_causal'
-    elif level == READ_COMMITTED:
-        pair_disjuncts = {}
-        for t3 in txns:
-            if t3 == T0:
-                continue
-            rsites = [site for site in vars.sites if site[2] == t3]
-            for j, sj in enumerate(rsites):
-                (sid, jpos, _t, k, _o, jdom) = sj
-                for si in rsites[:j]:
-                    (sid_i, ipos, _ti, _ki, _oi, idom) = si
-                    for t2 in jdom:
-                        for t1 in idom:
-                            if t1 == t2 or k not in writes[t1]:
-                                continue
-                            d = conj(eq(vars.choice[(sid_i, ipos)], t1),
-                                     eq(vars.choice[(sid, jpos)], t2),
-                                     le(jpos, vars.boundary[sid]))
-                            pair_disjuncts.setdefault((t1, t2), []).append(d)
-        for (t1, t2), ds in sorted(pair_disjuncts.items()):
-            v = prog.bool_var('wwrc[%d][%d]' % (t1, t2))
-            vars.ww_level[(t1, t2)] = v
-            prog.add(eq(v, disj(ds)))
-        co_name = 'co_rc'
-    else:
-        raise ValueError('unknown isolation level %r' % level)
-
-    for t in txns:
-        vars.co[t] = prog.int_var('%s[%d]' % (co_name, t))
-    for t1 in txns:
-        for t2 in txns:
-            if t1 == t2:
-                continue
-            ds = []
-            if (t1, t2) in vars.hb:
-                ds.append(vars.hb[(t1, t2)])
-            if (t1, t2) in vars.ww_level:
-                ds.append(vars.ww_level[(t1, t2)])
-            if ds:
-                prog.add(implies(disj(ds), lt(vars.co[t1], vars.co[t2])))
-    return prog
+    `predict` checks each candidate prefix with `checker.check_causal` or
+    `checker.check_rc`.  The name stays only because perfbench/tracing.py
+    wraps it by name; remove it together with `gen_unser_approx`.
+    """
+    raise NotImplementedError('isolation is checked on each candidate '
+                              'prefix; call predict()')
 
 
 def gen_unser_approx(obs_history, vars):
@@ -367,73 +252,37 @@ def extract_predicted_history(model, obs_history, vars, level=None,
             if not ok:
                 raise InconsistentModel('writer %d not visible for %d/%d'
                                         % (w, sid, pos))
-    if level is not None:
-        check = checker.check_causal if level == CAUSAL else checker.check_rc
-        if check(prefix).kind != 'conforms':
-            raise InconsistentModel('prefix violates %s' % level)
     return PredictedHistory(prefix, boundaries, changed, None,
                             level, strategy)
 
 
-def _guard_value(history, mode, t1, key, bnum):
-    """Concrete value of wr_guard under fixed boundaries."""
-    if t1 == T0:
-        return True
-    wp = history.wrpos_k(t1, key)
-    if wp is None:
-        return False
-    b = bnum[history.session_of[t1]]
-    return wp < b if mode == 'strict' else wp <= b
+def _pco_cycle(history):
+    """Mutual pco pair of a candidate prefix, if any.
 
-
-def _pco_cycle(history, model, vars):
-    """Mutual pco pair under a fixed (choice, boundary) assignment, if any.
-
-    The approximate oracle.  pco is the least fixpoint of so and the chosen
-    wr, closed under the guarded ww and rw rules and transitivity; a least
-    fixpoint admits no self-justifying edge, since each derived edge rests
-    on edges of earlier rounds.  A mutual pair is a pco cycle, which proves
+    The approximate oracle.  pco is the least fixpoint of so and wr, closed
+    under the ww and rw rules and transitivity; a least fixpoint admits no
+    self-justifying edge, since each derived edge rests on edges of earlier
+    rounds.  The prefix holds exactly the in-boundary events, so every
+    writer it lists is visible.  A mutual pair is a pco cycle, which proves
     the prefix unserializable.
     """
     h = history
     txns = h.committed()
-    bnum = {sid: model[bv] for sid, bv in vars.boundary.items()}
-    wrk = {}
-    for (key, t1, t2), v in vars.wrk.items():
-        if model[v]:
-            wrk.setdefault(key, set()).add((t1, t2))
-    writes = {t: {e.key for e in h.txns[t].writes()} for t in txns}
-    reads = {t: {e.key for e in h.txns[t].reads()} for t in txns}
-
-    pco = set()
-    for t1 in txns:
-        for t2 in txns:
-            if t1 != t2 and h.so(t1, t2):
-                pco.add((t1, t2))
-    for pairs in wrk.values():
-        pco |= pairs
-
+    pco = h.so_pairs() | h.wr_pairs()
     while True:
         new = set()
-        for key, pairs in wrk.items():
-            for (t2, t3) in pairs:
-                # ww: t1 also wrote key and provably precedes the reader t3
-                for t1 in h.writers_of(key):
-                    if t1 in (t2, t3) or key not in writes[t1]:
+        for key, pairs in h.wr.items():
+            writers = h.writers_of(key)
+            for (w, r) in pairs:
+                for t in writers:
+                    if t in (w, r):
                         continue
-                    if (t1, t2) not in pco and (t1, t3) in pco \
-                            and _guard_value(h, vars.mode, t1, key, bnum):
-                        new.add((t1, t2))
-            for (t3, t1) in pairs:
-                # rw: t1 read key from t3; later writers t2 come after t1
-                if key not in reads[t1]:
-                    continue
-                for t2 in h.writers_of(key):
-                    if t2 in (t1, t3):
-                        continue
-                    if (t1, t2) not in pco and (t3, t2) in pco \
-                            and _guard_value(h, vars.mode, t2, key, bnum):
-                        new.add((t1, t2))
+                    # ww: t also wrote key and provably precedes the reader
+                    if (t, w) not in pco and (t, r) in pco:
+                        new.add((t, w))
+                    # rw: a writer after r's writer comes after r
+                    if (r, t) not in pco and (w, t) in pco:
+                        new.add((r, t))
         for (t1, t3) in list(pco):
             for t2 in txns:
                 if t2 not in (t1, t3) and (t3, t2) in pco \
@@ -449,35 +298,33 @@ def _pco_cycle(history, model, vars):
     return None
 
 
-def _approx_oracle(obs_history, model, vars, level, strategy, deadline):
-    pair = _pco_cycle(obs_history, model, vars)
+def _approx_oracle(cand, deadline):
+    pair = _pco_cycle(cand.history)
     if pair is None:
-        return None
-    pred = extract_predicted_history(model, obs_history, vars, level=level,
-                                     strategy=strategy)
-    pred.witness_cycle = [(pair[0], pair[1], 'pco'),
+        return False
+    cand.witness_cycle = [(pair[0], pair[1], 'pco'),
                           (pair[1], pair[0], 'pco')]
-    return pred
+    return True
 
 
-def _exact_oracle(obs_history, model, vars, level, strategy, deadline):
-    cand = extract_predicted_history(model, obs_history, vars, level=level,
-                                     strategy=strategy)
+def _exact_oracle(cand, deadline):
     timeout = None if deadline is None else deadline - time.monotonic()
     verdict = checker.check_serializable(cand.history, timeout=timeout)
-    return cand if verdict.kind == 'unserializable' else None
+    return verdict.kind == 'unserializable'
 
 
 def predict(obs_history, level, strategy, timeout=None, stats=None):
     """Returns PredictedHistory, None (no prediction), or Unknown.
 
-    The prediction is the lexicographically first candidate that the
-    strategy's oracle accepts.  timeout is a deadline for the whole call,
-    checked before each candidate.  When given, stats is filled with gen_s,
-    solve_s and literals.
+    The prediction is the lexicographically first candidate whose prefix
+    conforms to the level and that the strategy's oracle accepts.  timeout
+    is a deadline for the whole call, checked before each candidate.  When
+    given, stats is filled with gen_s, solve_s and literals.
     """
     if strategy not in STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
+    if level not in (CAUSAL, READ_COMMITTED):
+        raise ValueError('unknown isolation level %r' % level)
     if stats is None:
         stats = {}
     stats.update(gen_s=0.0, solve_s=0.0, literals=0)
@@ -493,13 +340,13 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
 
     mode = 'relaxed' if strategy == APPROX_RELAXED else 'strict'
     oracle = _exact_oracle if strategy == EXACT_STRICT else _approx_oracle
+    conforms = checker.check_causal if level == CAUSAL else checker.check_rc
     t0 = time.monotonic()
     vars = PredictionVars(obs_history, mode)
     gen_feasibility(obs_history, vars)
-    gen_isolation(obs_history, vars, level)
     stats['gen_s'] = time.monotonic() - t0
     inc = solver.Incremental(vars.program)
-    for _ in range(CEGAR_CAP):
+    while True:
         left = None if deadline is None else deadline - time.monotonic()
         if left is not None and left <= 0:
             return Unknown('timeout')
@@ -510,12 +357,11 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
             return Unknown(res.reason)
         if res.status == 'unsat':
             return None
+        cand = extract_predicted_history(res.model, obs_history, vars,
+                                         level=level, strategy=strategy)
         try:
-            pred = oracle(obs_history, res.model, vars, level, strategy,
-                          deadline)
+            if conforms(cand.history) and oracle(cand, deadline):
+                return cand
         except solver.SolverUnknown as e:
             return Unknown(e.reason)
-        if pred is not None:
-            return pred
         inc.block(vars.symbols, res.model)
-    return Unknown('iteration-cap')

@@ -1,25 +1,20 @@
 """Finite-domain constraint programs and a native backend.
 
-The constraint language is quantifier-free: Bool variables, Int variables
-constrained only by order comparisons (commit orders), and Enum
-variables over small finite integer domains (writer choices, boundaries).
-Functions are grounded eagerly to one variable per argument tuple by the
-callers, so the backend only ever sees propositional structure plus
-comparisons.
+The constraint language is quantifier-free: Bool variables and Enum
+variables over small finite integer domains (writer choices, boundaries),
+which are compared only against integer constants.  The callers ground
+everything eagerly, so the backend only ever sees propositional structure.
 
 The backend compiles programs to CNF (enum variables one-hot encoded,
 comparisons against constants expanded over the domain) and runs a CDCL
-search with watched literals, 1UIP learning, VSIDS, and restarts.  Order
-comparisons between Int variables become theory atoms: asserted atoms form
-a constraint graph whose strict cycles are conflicts, explained back to the
-SAT core as learned clauses.  Every Sat model is re-checked by the
-independent evaluator below before it is returned.
+search with watched literals, 1UIP learning, VSIDS, and restarts.  Every
+Sat model is re-checked by the independent evaluator below before it is
+returned.
 """
 
 import time
 
 BOOL = 'bool'
-INT = 'int'
 
 
 class SolverError(Exception):
@@ -41,7 +36,7 @@ class Var:
 
     def __init__(self, name, sort):
         self.name = name
-        self.sort = sort  # BOOL, INT, or tuple of ints (enum domain)
+        self.sort = sort  # BOOL or tuple of ints (enum domain)
 
     def __repr__(self):
         return 'Var(%s)' % self.name
@@ -98,10 +93,6 @@ def le(a, b):
     return Formula('le', (a, b))
 
 
-def distinct(*vs):
-    return Formula('distinct', tuple(_flat(vs)))
-
-
 def _is_arith(x):
     return isinstance(x, int) or (isinstance(x, Var) and x.sort != BOOL)
 
@@ -124,9 +115,6 @@ class Program:
     def bool_var(self, name):
         return self._declare(name, BOOL)
 
-    def int_var(self, name):
-        return self._declare(name, INT)
-
     def enum_var(self, name, domain):
         domain = tuple(domain)
         if not domain:
@@ -135,13 +123,6 @@ class Program:
 
     def add(self, formula):
         self.assertions.append(formula)
-
-    def copy(self):
-        p = Program()
-        p.vars = dict(self.vars)
-        p.assertions = list(self.assertions)
-        p.metadata = dict(self.metadata)
-        return p
 
 
 class Model:
@@ -213,9 +194,6 @@ def evaluate(f, model):
         return _aeval(f.args[0], model) < _aeval(f.args[1], model)
     if op == 'le':
         return _aeval(f.args[0], model) <= _aeval(f.args[1], model)
-    if op == 'distinct':
-        vals = [_aeval(a, model) for a in f.args]
-        return len(set(vals)) == len(vals)
     raise SolverError('unknown op %s' % op)
 
 
@@ -248,11 +226,6 @@ class _Sat:
         self.decidable = []   # gates are implied, never decided or heaped
         self.decide_first = []  # vars tried before the activity heap
         self.first_free = 0     # decide_first[:first_free] are assigned
-        # theory: order atoms
-        self.order_edge = {}  # var -> (a, b) meaning var true <=> a < b
-        self.adj = {}         # node -> list of (dst, strict, lit)
-        self.edge_src = {}    # var -> src node while in graph
-        self.tqhead = 0
 
     def new_var(self, decidable=True):
         v = self.nvars
@@ -446,55 +419,6 @@ class _Sat:
             del ws[j:]
         return None
 
-    # --- theory of integer order atoms --------------------------------------
-    def theory_check(self):
-        while self.tqhead < len(self.trail):
-            l = self.trail[self.tqhead]
-            self.tqhead += 1
-            v = l >> 1
-            pair = self.order_edge.get(v)
-            if pair is None:
-                continue
-            a, b = pair
-            if l & 1:
-                src, dst, strict = b, a, False  # not(a<b)  =>  b <= a
-            else:
-                src, dst, strict = a, b, True
-            confl = self._find_cycle(src, dst, strict, l)
-            self.adj.setdefault(src, []).append((dst, strict, l))
-            self.edge_src[v] = src
-            if confl is not None:
-                return confl
-        return None
-
-    def _find_cycle(self, src, dst, strict, lit):
-        # a path dst -> src closes a cycle with the new edge; the cycle is a
-        # conflict iff it contains a strict edge (integers cannot satisfy it)
-        start = (dst, strict)
-        parents = {start: None}
-        queue = [start]
-        qi = 0
-        goal = None
-        while qi < len(queue):
-            node, s = queue[qi]
-            qi += 1
-            if node == src and s:
-                goal = (node, s)
-                break
-            for (nxt, estrict, elit) in self.adj.get(node, ()):
-                state = (nxt, s or estrict)
-                if state not in parents:
-                    parents[state] = ((node, s), elit)
-                    queue.append(state)
-        if goal is None:
-            return None
-        lits = [lit]
-        state = goal
-        while parents[state] is not None:
-            state, elit = parents[state]
-            lits.append(elit)
-        return [x ^ 1 for x in lits]
-
     # --- search ------------------------------------------------------------
     def _cancel_until(self, lvl):
         if len(self.trail_lim) <= lvl:
@@ -503,8 +427,6 @@ class _Sat:
         for i in range(len(self.trail) - 1, bound - 1, -1):
             l = self.trail[i]
             v = l >> 1
-            if v in self.edge_src:
-                self.adj[self.edge_src.pop(v)].pop()
             self.assign[v] = -1
             self.reason[v] = None
             if self.decidable[v]:
@@ -513,8 +435,6 @@ class _Sat:
         del self.trail_lim[lvl:]
         self.first_free = 0
         self.qhead = bound
-        if self.tqhead > bound:
-            self.tqhead = bound
 
     def _analyze(self, confl):
         learnt = [0]
@@ -597,8 +517,6 @@ class _Sat:
         restarts = 0
         while True:
             confl = self.propagate()
-            if confl is None:
-                confl = self.theory_check()
             if confl is not None:
                 self.conflicts += 1
                 if len(self.trail_lim) == 0:
@@ -643,15 +561,12 @@ class _Compiler:
         self.false_lit = self.true_lit ^ 1
         self.bool_atom = {}
         self.enum_atom = {}
-        self.order_vars = []
         self.cache = {}
         bias = 0.001
         n = len(program.vars)
         for i, v in enumerate(program.vars.values()):
             if v.sort == BOOL:
                 self.bool_atom[v.name] = self.sat.new_var()
-            elif v.sort == INT:
-                self.order_vars.append(v.name)
             else:
                 ohs = []
                 for val in v.sort:
@@ -668,20 +583,10 @@ class _Compiler:
         # domain order with the value-atom always tried positively
         for name in program.metadata.get('decide_first', ()):
             v = program.vars.get(name)
-            if v is None or v.sort in (BOOL, INT):
+            if v is None or v.sort == BOOL:
                 continue
             self.sat.decide_first.extend(self.enum_atom[(name, val)]
                                          for val in v.sort)
-
-    def _order_atom(self, a, b):
-        key = (a, b)
-        sat = self.sat
-        if key in self.cache:
-            return self.cache[key]
-        sv = sat.new_var()
-        sat.order_edge[sv] = (a, b)
-        self.cache[key] = 2 * sv
-        return 2 * sv
 
     def _make_and(self, lits):
         out = []
@@ -717,11 +622,8 @@ class _Compiler:
     def _arith_kind(self, x):
         if isinstance(x, int):
             return ('const', x)
-        if isinstance(x, Var):
-            if x.sort == INT:
-                return ('order', x.name)
-            if x.sort != BOOL:
-                return ('enum', x)
+        if isinstance(x, Var) and x.sort != BOOL:
+            return ('enum', x)
         raise SolverError('bad arithmetic operand %r' % (x,))
 
     def _compile_lt(self, a, b):
@@ -729,23 +631,12 @@ class _Compiler:
         kb, vb = self._arith_kind(b)
         if ka == 'const' and kb == 'const':
             return self.true_lit if va < vb else self.false_lit
-        if ka == 'order' and kb == 'order':
-            return self._order_atom(va, vb)
         if ka == 'enum' and kb == 'const':
             return self._make_or([2 * self.enum_atom[(va.name, v)]
                                   for v in va.sort if v < vb])
         if ka == 'const' and kb == 'enum':
             return self._make_or([2 * self.enum_atom[(vb.name, v)]
                                   for v in vb.sort if v > va])
-        if ka == 'enum' and kb == 'enum':
-            lits = []
-            for x in va.sort:
-                for y in vb.sort:
-                    if x < y:
-                        lits.append(self._make_and(
-                            [2 * self.enum_atom[(va.name, x)],
-                             2 * self.enum_atom[(vb.name, y)]]))
-            return self._make_or(lits)
         raise SolverError('unsupported comparison %r < %r' % (a, b))
 
     def _compile_eq_arith(self, a, b):
@@ -758,17 +649,6 @@ class _Compiler:
             return self.false_lit if sv is None else 2 * sv
         if ka == 'const' and kb == 'enum':
             return self._compile_eq_arith(b, a)
-        if ka == 'enum' and kb == 'enum':
-            lits = []
-            for v in va.sort:
-                if v in vb.sort:
-                    lits.append(self._make_and(
-                        [2 * self.enum_atom[(va.name, v)],
-                         2 * self.enum_atom[(vb.name, v)]]))
-            return self._make_or(lits)
-        if ka == 'order' and kb == 'order':
-            return self._make_and([self._order_atom(va, vb) ^ 1,
-                                   self._order_atom(vb, va) ^ 1])
         raise SolverError('unsupported equality %r = %r' % (a, b))
 
     def compile(self, f):
@@ -801,13 +681,6 @@ class _Compiler:
             return self._compile_lt(f.args[0], f.args[1])
         if op == 'le':
             return self._compile_lt(f.args[1], f.args[0]) ^ 1
-        if op == 'distinct':
-            lits = []
-            args = f.args
-            for i in range(len(args)):
-                for j in range(i + 1, len(args)):
-                    lits.append(self._compile_eq_arith(args[i], args[j]) ^ 1)
-            return self._make_and(lits)
         raise SolverError('unknown op %s' % op)
 
     def assert_all(self):
@@ -825,8 +698,6 @@ class _Compiler:
         for name, v in self.program.vars.items():
             if v.sort == BOOL:
                 values[name] = sat.assign[self.bool_atom[name]] == 1
-            elif v.sort == INT:
-                values[name] = 0  # filled below
             else:
                 for val in v.sort:
                     if sat.assign[self.enum_atom[(name, val)]] == 1:
@@ -834,27 +705,6 @@ class _Compiler:
                         break
                 else:
                     raise SolverError('no value selected for %s' % name)
-        # order variables: longest-path levels over the asserted edges
-        nodes = {n: 0 for n in self.order_vars}
-        edges = []
-        for src, lst in sat.adj.items():
-            for (dst, strict, _lit) in lst:
-                edges.append((src, dst, strict))
-                nodes.setdefault(src, 0)
-                nodes.setdefault(dst, 0)
-        for _ in range(len(nodes) * len(edges) + 2):
-            changed = False
-            for (u, w, strict) in edges:
-                need = nodes[u] + 1 if strict else nodes[u]
-                if nodes[w] < need:
-                    nodes[w] = need
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise SolverError('order relaxation did not converge')
-        for n in self.order_vars:
-            values[n] = nodes[n]
         return Model(values)
 
 
@@ -915,11 +765,6 @@ class Incremental:
         # blocking formula per round
         self.blocked = {}
 
-    def add(self, formula):
-        self.program.add(formula)
-        self.comp.sat._cancel_until(0)
-        self.comp.sat.add_clause([self.comp.compile(formula)])
-
     def block(self, symbols, model):
         """Forbid the model's assignment to the given enum/bool symbols.
 
@@ -944,38 +789,3 @@ class Incremental:
         status = self.comp.sat.solve(deadline=deadline)
         return _finish(self.comp, self.program, status, deadline, t0,
                        self.blocked)
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB2 debug dump
-
-
-def _smt_term(x):
-    if isinstance(x, int):
-        return str(x) if x >= 0 else '(- %d)' % -x
-    if isinstance(x, Var):
-        return '|%s|' % x.name
-    op = x.op
-    if op == 'true':
-        return 'true'
-    if op == 'false':
-        return 'false'
-    names = {'and': 'and', 'or': 'or', 'not': 'not', 'implies': '=>',
-             'eq': '=', 'lt': '<', 'le': '<=', 'distinct': 'distinct'}
-    return '(%s %s)' % (names[op], ' '.join(_smt_term(a) for a in x.args))
-
-
-def to_smtlib(program):
-    lines = ['(set-logic QF_LIA)']
-    for v in program.vars.values():
-        if v.sort == BOOL:
-            lines.append('(declare-const |%s| Bool)' % v.name)
-        else:
-            lines.append('(declare-const |%s| Int)' % v.name)
-            if v.sort != INT:
-                dom = ' '.join('(= |%s| %d)' % (v.name, d) for d in v.sort)
-                lines.append('(assert (or %s))' % dom)
-    for f in program.assertions:
-        lines.append('(assert %s)' % _smt_term(f))
-    lines.append('(check-sat)')
-    return '\n'.join(lines) + '\n'

@@ -39,7 +39,7 @@ class ReadPolicy:
         if self.kind == LATEST_WRITER:
             return run.latest_writer(key)
         legal = sorted(legal_writers(run.partial_history(tid, reads), sid,
-                                     key, self.level, run=run, tid=tid))
+                                     key, self.level, tid=tid))
         return self._rng.choice(legal)
 
 
@@ -414,7 +414,7 @@ def run_workload(program, sessions, txns_per_session, seed, policy):
     return trace, build_history(trace)
 
 
-def legal_writers(partial_history, session, key, level, run=None, tid=None):
+def legal_writers(partial_history, session, key, level, tid=None):
     """Committed writers of key whose choice keeps `level` conformance.
 
     The candidate read is tentatively appended to the in-flight transaction

@@ -8,7 +8,6 @@ Grammar (UTF-8, one directive per line, '#' starts a comment):
     w <key> <pos> <value>
     commit | abort
     boundary <sid> <pos|inf>        # predicted-history files only
-    schedule <tid> <tid> ...        # optional, one line
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +37,6 @@ class TxnRecord:
 @dataclass
 class Trace:
     sessions: list = field(default_factory=list)  # [(sid, [TxnRecord])]
-    schedule: list | None = None
     boundaries: dict | None = None  # sid -> pos or INF (predicted files)
 
 
@@ -79,6 +77,8 @@ def parse_trace(text):
         elif kw == 'txn':
             if cur_session is None:
                 raise ParseError(line_no, 'txn outside session')
+            if len(toks) != 2:
+                raise ParseError(line_no, 'txn takes one argument')
             tid = _int(toks[1], line_no, 'txn id')
             if tid in seen_tids:
                 raise SemanticError('duplicate tid %d' % tid)
@@ -122,8 +122,6 @@ def parse_trace(text):
                 trace.boundaries = {}
             trace.boundaries[sid] = INF if toks[2] == INF else _int(
                 toks[2], line_no, 'boundary pos')
-        elif kw == 'schedule':
-            trace.schedule = [_int(t, line_no, 'tid') for t in toks[1:]]
         else:
             raise ParseError(line_no, 'unknown directive %r' % kw)
     return trace
@@ -145,8 +143,6 @@ def emit_trace(trace):
         for sid in sorted(trace.boundaries):
             b = trace.boundaries[sid]
             out.append('boundary %d %s' % (sid, b if b == INF else '%d' % b))
-    if trace.schedule is not None:
-        out.append('schedule ' + ' '.join(str(t) for t in trace.schedule))
     return '\n'.join(out) + '\n' if out else ''
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -109,6 +110,55 @@ def test_bad_trace_content_exit_2(capsys, tmp_path):
     bad.write_text('session 1\ntxn 1\nr x 1 9 0\ncommit\n')
     code, _ = run_cli(capsys, 'predict', str(bad))
     assert code == 2
+
+
+def test_validate_missing_writer_exit_2(capsys, tmp_path):
+    pred = tmp_path / 'pred.trace'
+    pred.write_text('session 1\ntxn 1\nr acc 1 7 0\nw acc 2 50\ncommit\n'
+                    'boundary 1 inf\n')
+    code, _ = run_cli(capsys, 'validate', str(pred),
+                      '--workload', 'deposit-deposit')
+    assert code == 2
+
+
+def _mutate(rng, text):
+    """Delete, duplicate or rewrite one token of a trace."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = rng.choice(spots)
+    action = rng.choice(('delete', 'duplicate', 'rewrite'))
+    if action == 'delete':
+        del lines[i][j]
+    elif action == 'duplicate':
+        lines[i].insert(j, lines[i][j])
+    else:
+        lines[i][j] = rng.choice(('0', '1', '2', '3', '-1', '99', 'inf',
+                                  'acc', 'txn', 'commit', 'boundary', 'x'))
+    return '\n'.join(' '.join(toks) for toks in lines) + '\n'
+
+
+def test_mutated_traces_never_raise(capsys, tmp_path):
+    # every command ends in an exit code, whatever one-token damage the
+    # observed or predicted trace took
+    obs = observe(capsys, tmp_path, txns='2')
+    pred = tmp_path / 'pred.trace'
+    code, _ = run_cli(capsys, 'predict', str(obs), '--out', str(pred))
+    assert code == 0
+    workload = ('--workload', 'deposit-deposit', '--sessions', '2',
+                '--txns', '2', '--seed', '0')
+    rng = random.Random(1)
+    bad = tmp_path / 'mutated.trace'
+    codes = []
+    for source in (obs, pred) * 100:
+        bad.write_text(_mutate(rng, source.read_text()))
+        for argv in (('predict', str(bad), '--timeout', '2'),
+                     ('check', str(bad)),
+                     ('render', str(bad)),
+                     ('validate', str(bad)) + workload):
+            code, _ = run_cli(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, bad.read_text())
+            codes.append(code)
+    assert 2 in codes and 0 in codes
 
 
 def test_bad_timeout_env_exit_2(capsys, tmp_path, monkeypatch):

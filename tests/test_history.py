@@ -63,8 +63,6 @@ def test_position_indexes():
     assert h.wrpos_k(1, 'x') == 1
     assert h.wrpos_k(1, 'y') == 3
     assert h.wrpos_k(1, 'z') is None
-    assert h.rdpos_k(1, 'y') == [2]
-    assert h.rdpos_star(1) == [2]
     assert h.last_pos(1) == 3
     assert h.max_pos() == 3
 

@@ -1,11 +1,12 @@
 """Predictor: canonical fixtures, boundary semantics, and soundness samples."""
 
+import itertools
 import time
 
 import pytest
 
 import unserial as u
-from unserial import checker, predictor, solver, storesim as ss
+from unserial import checker, predictor, storesim as ss
 
 from conftest import rank_trap_history, make_history
 
@@ -142,40 +143,81 @@ def test_strategy_ordering_sample():
 
 # --- canonical predictions -----------------------------------------------------
 
-def _all_candidates(h, level, mode):
-    """Every feasible (boundary, choice) candidate, by exhaustive blocking.
+def _candidates(h, mode):
+    """Every feasible (boundaries, prefix, changed reads), in lexicographic
+    order, by brute force and independent of the predictor's engine.
 
-    The decision-order hint is dropped, so the candidates come out in the
-    solver's own order, and the minimum below depends on none of it.
+    Boundaries run ascending in session order, no cut (infinity) last;
+    then the free reads, those at their session's boundary, each over its
+    observed writer first and then ascending tid.  Every other read keeps
+    its observed writer.  A candidate is feasible when each in-boundary
+    read's writer wrote its key inside the writer's own boundary.
     """
-    vars = predictor.PredictionVars(h, mode)
-    predictor.gen_feasibility(h, vars)
-    predictor.gen_isolation(h, vars, level)
-    del vars.program.metadata['decide_first']
-    inc = solver.Incremental(vars.program)
-    models = []
-    while (res := inc.check()).status == 'sat':
-        models.append(res.model)
-        inc.block(vars.symbols, res.model)
-    assert res.status == 'unsat'
-    return vars, models
+    inf = h.max_pos() + 1
+    sids = sorted(h.sessions)
+    options = []
+    for sid in sids:
+        if mode == 'strict':
+            opts = {e.pos for t in h.sessions[sid]
+                    for e in h.txns[t].events if e.kind == 'r'}
+        else:
+            opts = {h.last_pos(t) for t in h.sessions[sid]
+                    if h.txns[t].events}
+        options.append(sorted(opts) + [inf])
+    sites = h.read_sites()
+    for bvec in itertools.product(*options):
+        bound = dict(zip(sids, bvec))
+        free = [i for i, (sid, pos, tid, key, obs) in enumerate(sites)
+                if (pos if mode == 'strict' else h.last_pos(tid))
+                == bound[sid]]
+        domains = [[sites[i][4]] + [w for w in h.writers_of(sites[i][3])
+                                    if w not in (sites[i][2], sites[i][4])]
+                   for i in free]
+        for choice in itertools.product(*domains):
+            writer = [site[4] for site in sites]
+            for i, w in zip(free, choice):
+                writer[i] = w
+            if all(_visible(h, mode, bound, w, key)
+                   for (sid, pos, _t, key, _o), w in zip(sites, writer)
+                   if pos <= bound[sid]):
+                yield bound, *_prefix(h, bound, sites, writer)
 
 
-def _lex_key(vars, model):
-    # boundaries ascending in session order (no cut is the largest), then
-    # each read site: its observed writer first, then ascending tid
-    return (tuple(model[vars.boundary[sid]] for sid in sorted(vars.boundary)),
-            tuple((model[vars.choice[(sid, pos)]] != obs,
-                   model[vars.choice[(sid, pos)]])
-                  for (sid, pos, _tid, _key, obs, _dom) in vars.sites))
+def _visible(h, mode, bound, w, key):
+    if w == u.T0:
+        return True
+    wp = h.wrpos_k(w, key)
+    b = bound[h.session_of[w]]
+    return wp is not None and (wp < b if mode == 'strict' else wp <= b)
 
 
-def _accepts(strategy, h, vars, model):
+def _prefix(h, bound, sites, writer):
+    """The in-boundary history with the chosen writers, and the changed
+    reads in read-site order."""
+    chosen = {(sid, pos): w for (sid, pos, *_), w in zip(sites, writer)}
+    spec, changed = {}, []
+    for sid in sorted(h.sessions):
+        for tid in h.sessions[sid]:
+            evs = []
+            for e in h.txns[tid].events:
+                if e.pos > bound[sid]:
+                    continue
+                if e.kind == 'w':
+                    evs.append(('w', e.key, e.pos, e.value))
+                    continue
+                w = chosen[(sid, e.pos)]
+                if w != e.writer:
+                    changed.append((tid, e.pos, e.key, e.writer, w))
+                evs.append(('r', e.key, e.pos, 0, w))
+            if evs:
+                spec[tid] = (sid, evs)
+    return make_history(spec), changed
+
+
+def _accepts(strategy, prefix):
     if strategy == u.EXACT_STRICT:
-        cand = predictor.extract_predicted_history(model, h, vars)
-        return (checker.oracle_serializable(cand.history).kind
-                == 'unserializable')
-    return predictor._pco_cycle(h, model, vars) is not None
+        return checker.oracle_serializable(prefix).kind == 'unserializable'
+    return predictor._pco_cycle(prefix) is not None
 
 
 def test_predictions_are_the_lexicographic_minimum():
@@ -189,25 +231,35 @@ def test_predictions_are_the_lexicographic_minimum():
     assert len(runs) >= 60
     hits = 0
     for i, h in enumerate(runs):
+        inf = h.max_pos() + 1
         for level in (u.CAUSAL, u.READ_COMMITTED):
+            conforms = (checker.check_causal if level == u.CAUSAL
+                        else checker.check_rc)
             for mode in ('strict', 'relaxed'):
-                vars, models = _all_candidates(h, level, mode)
-                strategies = ((u.EXACT_STRICT, u.APPROX_STRICT)
-                              if mode == 'strict' else (u.APPROX_RELAXED,))
+                strategies = ([u.EXACT_STRICT, u.APPROX_STRICT]
+                              if mode == 'strict' else [u.APPROX_RELAXED])
+                first = {}
+                for bound, prefix, changed in _candidates(h, mode):
+                    if not conforms(prefix):
+                        continue
+                    for strategy in strategies:
+                        if (strategy not in first
+                                and _accepts(strategy, prefix)):
+                            first[strategy] = (bound, changed)
+                    if len(first) == len(strategies):
+                        break
                 for strategy in strategies:
-                    passing = [m for m in models
-                               if _accepts(strategy, h, vars, m)]
                     pred = u.predict(h, level, strategy)
                     label = (i, level, strategy)
-                    if not passing:
+                    if strategy not in first:
                         assert pred is None, label
                         continue
                     hits += 1
-                    best = predictor.extract_predicted_history(
-                        min(passing, key=lambda m: _lex_key(vars, m)), h,
-                        vars)
-                    assert pred.boundaries == best.boundaries, label
-                    assert pred.changed_reads == best.changed_reads, label
+                    bound, changed = first[strategy]
+                    assert pred.boundaries == {
+                        sid: None if b == inf else b
+                        for sid, b in bound.items()}, label
+                    assert pred.changed_reads == changed, label
     assert hits >= 60
 
 
@@ -259,6 +311,16 @@ def test_bad_strategy_rejected(dd_observed):
     _, h = dd_observed
     with pytest.raises(ValueError):
         u.predict(h, u.CAUSAL, 'quantum')
+
+
+def test_unknown_level_rejected(dd_observed):
+    _, h = dd_observed
+    with pytest.raises(ValueError):
+        u.predict(h, 'snapshot', u.APPROX_RELAXED)
+    # the level is checked before the trivial-history shortcut
+    trivial = make_history({1: (1, [('w', 'x', 1, 1)])})
+    with pytest.raises(ValueError):
+        u.predict(trivial, 'snapshot', u.EXACT_STRICT)
 
 
 def test_trivial_history_has_no_prediction():

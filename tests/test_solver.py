@@ -1,8 +1,7 @@
-"""Native solver: CDCL core, integer ordering theory, incremental use.
+"""Native solver: CDCL core, enum comparisons, incremental use.
 
-The fuzz test cross-checks against brute-force enumeration over a bounded
-integer range; order-only constraints over n integer variables are
-satisfiable over the integers iff they are satisfiable over 0..n-1.
+The fuzz test cross-checks random Boolean programs against brute-force
+enumeration of their assignments.
 """
 
 import itertools
@@ -11,8 +10,8 @@ import random
 import pytest
 
 from unserial import solver
-from unserial.solver import (conj, disj, neg, implies, eq, lt, le, distinct,
-                             evaluate, TRUE, FALSE)
+from unserial.solver import (conj, disj, neg, implies, eq, lt, evaluate,
+                             TRUE, FALSE)
 
 
 def test_trivial_sat_unsat():
@@ -28,42 +27,7 @@ def test_duplicate_declaration_rejected():
     p = solver.Program()
     p.bool_var('a')
     with pytest.raises(solver.SolverError):
-        p.int_var('a')
-
-
-def test_ordering_chain_with_distinct():
-    # regression: watched-literal bookkeeping once made this spuriously unsat
-    p = solver.Program()
-    a, b, c = (p.int_var(n) for n in 'abc')
-    p.add(lt(a, b))
-    p.add(lt(b, c))
-    p.add(lt(a, c))
-    p.add(distinct(a, b, c))
-    res = solver.check_sat(p)
-    assert res.status == 'sat'
-    m = res.model
-    assert m['a'] < m['b'] < m['c']
-
-
-def test_ordering_cycle_unsat():
-    p = solver.Program()
-    a, b, c = (p.int_var(n) for n in 'abc')
-    p.add(lt(a, b))
-    p.add(lt(b, c))
-    p.add(lt(c, a))
-    assert solver.check_sat(p).status == 'unsat'
-
-
-def test_le_antisymmetry_gives_equality():
-    p = solver.Program()
-    a, b = p.int_var('a'), p.int_var('b')
-    p.add(le(a, b))
-    p.add(le(b, a))
-    res = solver.check_sat(p)
-    assert res.status == 'sat'
-    assert res.model['a'] == res.model['b']
-    p.add(neg(eq(a, b)))
-    assert solver.check_sat(p).status == 'unsat'
+        p.bool_var('a')
 
 
 def test_enum_one_hot():
@@ -139,21 +103,13 @@ def test_timeout_reports_unknown():
 
 # --- random cross-check against brute force --------------------------------
 
-def _random_formula(rng, bools, ints, depth):
+def _random_formula(rng, bools, depth):
     if depth == 0 or rng.random() < 0.3:
-        kind = rng.choice(['bvar', 'cmp', 'const'])
-        if kind == 'bvar' and bools:
+        if bools and rng.random() < 0.7:
             return rng.choice(bools)
-        if kind == 'cmp' and len(ints) >= 2:
-            op = rng.choice([lt, le, eq])
-            a, b = rng.sample(ints, 2)
-            return op(a, b)
         return TRUE if rng.random() < 0.5 else FALSE
-    op = rng.choice(['and', 'or', 'not', 'implies', 'distinct'])
-    if op == 'distinct' and len(ints) >= 2:
-        k = rng.randint(2, len(ints))
-        return distinct(*rng.sample(ints, k))
-    sub = lambda: _random_formula(rng, bools, ints, depth - 1)
+    op = rng.choice(['and', 'or', 'not', 'implies'])
+    sub = lambda: _random_formula(rng, bools, depth - 1)
     if op == 'and':
         return conj(sub(), sub())
     if op == 'or':
@@ -163,16 +119,12 @@ def _random_formula(rng, bools, ints, depth):
     return implies(sub(), sub())
 
 
-def _brute_force_sat(program, nb, ni):
-    bool_names = [n for n, v in program.vars.items() if v.sort == solver.BOOL]
-    int_names = [n for n, v in program.vars.items() if v.sort == solver.INT]
-    rng_hi = max(len(int_names), 1)
+def _brute_force_sat(program):
+    bool_names = list(program.vars)
     for bvals in itertools.product([False, True], repeat=len(bool_names)):
-        for ivals in itertools.product(range(rng_hi), repeat=len(int_names)):
-            model = solver.Model(dict(zip(bool_names, bvals))
-                                 | dict(zip(int_names, ivals)))
-            if all(evaluate(f, model) for f in program.assertions):
-                return True
+        model = solver.Model(dict(zip(bool_names, bvals)))
+        if all(evaluate(f, model) for f in program.assertions):
+            return True
     return False
 
 
@@ -181,11 +133,10 @@ def test_fuzz_against_brute_force():
         rng = random.Random(seed)
         p = solver.Program()
         bools = [p.bool_var('b%d' % i) for i in range(rng.randint(0, 3))]
-        ints = [p.int_var('i%d' % i) for i in range(rng.randint(0, 3))]
         for _ in range(rng.randint(1, 5)):
-            p.add(_random_formula(rng, bools, ints, 2))
+            p.add(_random_formula(rng, bools, 2))
         res = solver.check_sat(p)
-        expected = _brute_force_sat(p, len(bools), len(ints))
+        expected = _brute_force_sat(p)
         if res.status == 'sat':
             assert expected, 'seed %d: solver sat, brute force unsat' % seed
             # the model must actually satisfy every assertion
@@ -198,11 +149,17 @@ def test_fuzz_against_brute_force():
 
 # --- incremental interface --------------------------------------------------
 
+def _differ(a, b):
+    """a != b for two enum variables, as comparisons against constants."""
+    return conj(*(neg(conj(eq(a, v), eq(b, v)))
+                  for v in a.sort if v in b.sort))
+
+
 def test_incremental_model_enumeration():
     p = solver.Program()
     a = p.enum_var('a', (0, 1, 2))
     b = p.enum_var('b', (0, 1, 2))
-    p.add(neg(eq(a, b)))
+    p.add(_differ(a, b))
     inc = solver.Incremental(p)
     seen = set()
     while True:
@@ -213,16 +170,6 @@ def test_incremental_model_enumeration():
         inc.block((p.vars['a'], p.vars['b']), res.model)
     assert res.status == 'unsat'
     assert seen == {(x, y) for x in range(3) for y in range(3) if x != y}
-
-
-def test_incremental_add_tightens():
-    p = solver.Program()
-    x, y = p.int_var('x'), p.int_var('y')
-    p.add(le(x, y))
-    inc = solver.Incremental(p)
-    assert inc.check().status == 'sat'
-    inc.add(lt(y, x))
-    assert inc.check().status == 'unsat'
 
 
 def _gated_program():
@@ -276,14 +223,12 @@ def test_decide_first_hint_preserves_answers():
         p = solver.Program()
         e = p.enum_var('e', (0, 1, 2))
         bools = [p.bool_var('b%d' % i) for i in range(2)]
-        ints = [p.int_var('i%d' % i) for i in range(2)]
         for _ in range(3):
-            p.add(_random_formula(rng, bools, ints, 2))
+            p.add(_random_formula(rng, bools, 2))
         p.add(disj(eq(e, 1), eq(e, 2)))
         plain = solver.check_sat(p).status
-        hinted = p.copy()
-        hinted.metadata['decide_first'] = ['e']
-        assert solver.check_sat(hinted).status == plain
+        p.metadata['decide_first'] = ['e']
+        assert solver.check_sat(p).status == plain
 
 
 # --- canonical enumeration order ---------------------------------------------
@@ -310,7 +255,7 @@ def test_blocking_enumerates_in_lexicographic_order():
     xs = [p.enum_var('x%d' % i, domain) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
-            p.add(neg(eq(xs[i], xs[j])))
+            p.add(_differ(xs[i], xs[j]))
     b, c = p.bool_var('b'), p.bool_var('c')
     for lb in (b, neg(b)):
         for lc in (c, neg(c)):
@@ -382,13 +327,3 @@ def test_recheck_rejects_a_blocked_model():
     inc.blocked[('a',)] = {(res.model['a'],)}
     with pytest.raises(solver.SolverError):
         inc.check()
-
-
-def test_to_smtlib_smoke():
-    p = solver.Program()
-    a = p.int_var('a')
-    b = p.bool_var('b')
-    p.add(implies(b, lt(a, 3)))
-    text = solver.to_smtlib(p)
-    assert 'declare-const' in text and '|a|' in text
-    assert '(check-sat)' in text

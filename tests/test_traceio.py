@@ -39,12 +39,13 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_boundary_and_schedule_lines():
-    text = SAMPLE + 'boundary 1 2\nboundary 2 inf\nschedule 1 2\n'
+    text = SAMPLE + 'boundary 1 2\nboundary 2 inf\n'
     trace = u.parse_trace(text)
     assert trace.boundaries == {1: 2, 2: traceio.INF}
-    assert trace.schedule == [1, 2]
-    assert u.emit_trace(trace).endswith(
-        'boundary 1 2\nboundary 2 inf\nschedule 1 2\n')
+    assert u.emit_trace(trace).endswith('boundary 1 2\nboundary 2 inf\n')
+    # the schedule directive is gone: nothing produced or read it
+    with pytest.raises(traceio.ParseError):
+        u.parse_trace(text + 'schedule 1 2\n')
 
 
 def test_abort_terminator():
@@ -56,6 +57,7 @@ def test_abort_terminator():
     ('txn 1\ncommit\n', traceio.ParseError),          # txn outside session
     ('session 0\n', traceio.ParseError),              # non-positive sid
     ('session 1\ntxn 0\ncommit\n', traceio.ParseError),   # reserved tid
+    ('session 1\ntxn\ncommit\n', traceio.ParseError),     # bare txn
     ('session 1\nw x 1 5\n', traceio.ParseError),     # event outside txn
     ('session 1\ntxn 1\nr x 1 0\ncommit\n', traceio.ParseError),  # arity
     ('session 1\ntxn 1\nw x z 5\ncommit\n', traceio.ParseError),  # bad int
