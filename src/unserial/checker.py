@@ -120,7 +120,8 @@ def check_serializable(history, timeout=None):
 
 
 def oracle_serializable(history):
-    """Brute-force serial-execution search, independent of the solver."""
+    """Brute-force serial-execution search, independent of the frontier
+    search of `check_serializable`."""
     txns = [t for t in history.committed() if t != T0]
     if len(txns) > 9:
         raise TooLarge('%d committed transactions exceed the oracle guard'

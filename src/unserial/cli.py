@@ -2,13 +2,15 @@
 
 Subcommands: observe, predict, validate, check, fuzz, render.  Exit codes:
 0 success (sat for predict), 1 no prediction / violation found, 2 bad
-configuration or input, 3 solver unknown or timeout.
+configuration or input, 3 unknown: a timeout, or the serializability
+search's state cap.
 """
 
 import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from . import checker, predictor, storesim, traceio
@@ -123,9 +125,8 @@ def cmd_predict(args):
         'status': 'sat',
         'level': cfg.isolation,
         'strategy': cfg.strategy,
-        'literals': stats.get('literals', 0),
-        'gen_ms': round(stats.get('gen_s', 0.0) * 1000.0, 3),
-        'solve_ms': round(stats.get('solve_s', 0.0) * 1000.0, 3),
+        'candidates': stats['candidates'],
+        'search_ms': round(stats['search_s'] * 1000.0, 3),
     }
     if isinstance(result, predictor.Unknown):
         summary['status'] = 'unknown'
@@ -210,26 +211,36 @@ def cmd_fuzz(args):
     if args.runs < 0:
         raise ConfigError('--runs must not be negative')
     program = cfg.program()
+    deadline = (None if cfg.timeout is None
+                else time.monotonic() + cfg.timeout)
     runs = []
     bad = 0
     for i in range(args.runs):
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         seed = cfg.seed + i
         policy = storesim.ReadPolicy(storesim.RANDOM_WEAK, cfg.isolation,
                                      rng_seed=cfg.policy_seed + i)
         _, history = storesim.run_workload(program, cfg.sessions, cfg.txns,
                                            seed, policy)
+        left = None if deadline is None else deadline - time.monotonic()
         try:
-            verdict = checker.check_serializable(history,
-                                                 timeout=cfg.timeout).kind
-        except SolverUnknown:
+            verdict = checker.check_serializable(history, timeout=left).kind
+        except SolverUnknown as e:
+            if e.reason == 'timeout':
+                break
             verdict = 'unknown'
         if verdict == 'unserializable':
             bad += 1
         runs.append({'seed': seed, 'verdict': verdict})
-    rate = (bad / args.runs) if args.runs else 0.0
-    _print_json({'runs': runs, 'unserializable': bad,
-                 'total': args.runs, 'unserializable_rate': rate})
-    return EXIT_OK
+    total = len(runs)
+    summary = {'runs': runs, 'unserializable': bad, 'total': total,
+               'unserializable_rate': (bad / total) if total else 0.0}
+    if total < args.runs:
+        # the deadline passed: the runs completed before it are reported
+        summary['reason'] = 'timeout'
+    _print_json(summary)
+    return EXIT_UNKNOWN if total < args.runs else EXIT_OK
 
 
 def cmd_render(args):

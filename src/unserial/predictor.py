@@ -1,17 +1,17 @@
-"""Constraint generation and prediction of unserializable executions.
+"""Candidate enumeration and prediction of unserializable executions.
 
 From an observed (serializable) history we search for an alternative
 write-read assignment, cut off at per-session boundaries, that is valid
 under the requested weak isolation level yet unserializable.
 
-One engine serves every strategy.  The constraint program holds only
-feasibility: the boundary options, canonical pinning of the reads outside
-a boundary, and writer visibility.  `solver.Incremental` enumerates its
-(boundary, choice) candidates; each candidate's in-boundary prefix must
-conform to the level (`checker.check_causal` or `checker.check_rc`, cycle
-checks once the history is fixed: Biswas & Enea, OOPSLA 2019) and is then
-decided by the strategy's oracle.  A miss blocks the whole assignment.
-The oracles are:
+One engine serves every strategy.  A candidate is a boundary per session
+and a writer per read.  Canonical pinning leaves free only the reads at
+their session's boundary; every other read keeps its observed writer, and
+an in-boundary read may only see a write inside its writer's boundary.
+`gen_feasibility` lists these candidates directly.  Each candidate's
+in-boundary prefix must conform to the level (`checker.check_causal` or
+`checker.check_rc`, cycle checks once the history is fixed: Biswas &
+Enea, OOPSLA 2019) and is then decided by the strategy's oracle:
 
   - approx-strict:  strict read-event boundaries + the approximate
     unserializability condition, a provable partial-commit-order cycle,
@@ -22,19 +22,20 @@ The oracles are:
     (`checker.check_serializable`) of the candidate prefix.
 
 Candidates come out in lexicographic order: boundaries ascending in
-session order, then each read site in order keeping its observed writer if
-it can, else taking the lowest writer tid.  So the first hit is the
+session order, then each free read in order keeping its observed writer
+if it can, else taking the lowest writer tid.  So the first hit is the
 canonical prediction: the earliest cuts, then the fewest and lowest
-rewirings, whatever path the search took to it.
+rewirings.
 """
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
 
 from .history import T0, Event, Transaction, ExecutionHistory, build_history
-from . import checker, solver, traceio
-from .solver import conj, eq, implies, le, lt, TRUE
+from . import checker, traceio
+from .solver import SolverUnknown
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +46,6 @@ EXACT_STRICT = 'exact-strict'
 APPROX_STRICT = 'approx-strict'
 APPROX_RELAXED = 'approx-relaxed'
 STRATEGIES = (EXACT_STRICT, APPROX_STRICT, APPROX_RELAXED)
-
-
-class InconsistentModel(Exception):
-    pass
 
 
 class Unknown:
@@ -87,12 +84,12 @@ def predicted_from_trace(trace, level, strategy=None):
 
 
 class PredictionVars:
-    """Grounded variables over an observed history.
+    """The candidate space over an observed history.
 
-    One choice variable per read site and one boundary per session.  Each
-    choice domain lists the observed writer first, then the other writers
-    by ascending tid, so the solver tries to keep an observed read before
-    rewiring it.
+    One read site per read and one list of boundary options per session,
+    ascending with no cut (`inf`) last.  Each site's domain lists the
+    observed writer first, then the other writers by ascending tid, so an
+    observed read is kept before it is rewired.
     """
 
     def __init__(self, history, boundary_mode):
@@ -100,26 +97,14 @@ class PredictionVars:
             raise ValueError(boundary_mode)
         self.history = history
         self.mode = boundary_mode
-        self.program = solver.Program()
         self.inf = history.max_pos() + 1
         self.sites = []       # (sid, pos, tid, key, obs_writer, domain)
-        self.choice = {}      # (sid, pos) -> Var
-        self.boundary = {}    # sid -> Var
-
         for (sid, pos, tid, key, obs) in history.read_sites():
             domain = [obs] + [w for w in history.writers_of(key)
                               if w not in (tid, obs)]
-            v = self.program.enum_var('choice[%d][%d]' % (sid, pos), domain)
             self.sites.append((sid, pos, tid, key, obs, domain))
-            self.choice[(sid, pos)] = v
-        for sid in sorted(history.sessions):
-            self.boundary[sid] = self.program.enum_var(
-                'boundary[%d]' % sid, self._boundary_options(sid))
-        # branch on boundaries first (they pin most choices), then choices;
-        # a candidate is this assignment, and blocking forbids it whole
-        self.symbols = [v.name for v in self.boundary.values()] + \
-            [v.name for v in self.choice.values()]
-        self.program.metadata['decide_first'] = self.symbols
+        self.options = {sid: self._boundary_options(sid)
+                        for sid in sorted(history.sessions)}
 
     def _boundary_options(self, sid):
         h = self.history
@@ -136,7 +121,7 @@ class PredictionVars:
             return pos
         return self.history.last_pos(tid)
 
-    def wr_guard(self, t1, key):
+    def visible(self, t1, key, bound):
         """Writer inclusion: t1's last write of key is within t1's boundary.
 
         Strict boundaries sit on read events, so the write must precede the
@@ -144,34 +129,44 @@ class PredictionVars:
         events and include the boundary transaction's own writes.
         """
         if t1 == T0:
-            return TRUE
-        s1 = self.history.session_of[t1]
+            return True
         wp = self.history.wrpos_k(t1, key)
-        if self.mode == 'strict':
-            return lt(wp, self.boundary[s1])
-        return le(wp, self.boundary[s1])
+        b = bound[self.history.session_of[t1]]
+        return wp < b if self.mode == 'strict' else wp <= b
 
 
-def gen_feasibility(obs_history, vars, boundary_mode=None):
-    prog = vars.program
-    if boundary_mode is not None and boundary_mode != vars.mode:
-        raise ValueError('boundary mode mismatch')
+def gen_feasibility(obs_history, vars):
+    """Yield every feasible candidate (bound, writer) in lexicographic order.
 
-    for site in vars.sites:
-        (sid, pos, tid, key, obs, domain) = site
-        c = vars.choice[(sid, pos)]
-        b = vars.boundary[sid]
-        pin = vars.pin_pos(site)
-        # pre-boundary fidelity, and canonical pinning beyond the boundary
-        prog.add(implies(lt(pin, b), eq(c, obs)))
-        prog.add(implies(lt(b, pin), eq(c, obs)))
-        # in-boundary reads only see writes before the writer's boundary
-        for t1 in domain:
-            if t1 == T0:
-                continue
-            prog.add(implies(conj(eq(c, t1), le(pos, b)),
-                             vars.wr_guard(t1, key)))
-    return prog
+    bound maps each session to a boundary position (`vars.inf` for no
+    cut), and writer maps each read site (sid, pos) to a writer tid.  A
+    read whose pin position is its session's boundary is free: it takes,
+    in domain order, each writer visible under bound.  Every other read
+    keeps its observed writer, which must be visible when the read is
+    inside its boundary.
+    """
+    sids = list(vars.options)
+    for bvec in itertools.product(*vars.options.values()):
+        bound = dict(zip(sids, bvec))
+        pinned = {}
+        free = []       # ((sid, pos), visible writers) per free read
+        for site in vars.sites:
+            (sid, pos, tid, key, obs, domain) = site
+            if vars.pin_pos(site) == bound[sid]:
+                ws = [w for w in domain if vars.visible(w, key, bound)]
+                if not ws:
+                    break
+                free.append(((sid, pos), ws))
+            else:
+                if pos <= bound[sid] and not vars.visible(obs, key, bound):
+                    break
+                pinned[(sid, pos)] = obs
+        else:
+            at = [s for s, _ in free]
+            for choice in itertools.product(*(ws for _, ws in free)):
+                writer = dict(pinned)
+                writer.update(zip(at, choice))
+                yield bound, writer
 
 
 def gen_isolation(obs_history, vars, level):
@@ -195,29 +190,27 @@ def gen_unser_approx(obs_history, vars):
                               '_pco_cycle; call predict()')
 
 
-def extract_predicted_history(model, obs_history, vars, level=None,
+def extract_predicted_history(candidate, obs_history, vars, level=None,
                               strategy=None):
+    """The in-boundary prefix of a (bound, writer) candidate, rewired."""
+    bound, writer = candidate
     h = obs_history
-    bnum = {}
-    boundaries = {}
-    for sid, bv in vars.boundary.items():
-        val = model[bv]
-        bnum[sid] = val
-        boundaries[sid] = None if val == vars.inf else val
+    boundaries = {sid: None if b == vars.inf else b
+                  for sid, b in bound.items()}
 
     changed = []
     txns = {}
     sessions = {}
     keys = set()
     for sid in sorted(h.sessions):
-        b = bnum[sid]
+        b = bound[sid]
         for tid in h.sessions[sid]:
             evs = []
             for e in h.txns[tid].events:
                 if e.pos > b:
                     continue
                 if e.kind == 'r':
-                    w = model[vars.choice[(sid, e.pos)]]
+                    w = writer[(sid, e.pos)]
                     if w != e.writer:
                         changed.append((tid, e.pos, e.key, e.writer, w))
                     val = 0
@@ -236,22 +229,6 @@ def extract_predicted_history(model, obs_history, vars, level=None,
     txns[T0] = Transaction(T0, 0, tuple(
         Event('w', k, 0, 0) for k in sorted(keys)))
     prefix = ExecutionHistory(txns, sessions)
-
-    # invariant checks: any violation signals an encoding bug
-    for site in vars.sites:
-        (sid, pos, tid, key, obs, domain) = site
-        w = model[vars.choice[(sid, pos)]]
-        if vars.pin_pos(site) < bnum[sid] and w != obs:
-            raise InconsistentModel('pre-boundary read rewired at %d/%d'
-                                    % (sid, pos))
-        if pos <= bnum[sid] and w != T0:
-            ws = h.session_of[w]
-            wp = h.wrpos_k(w, key)
-            ok = wp is not None and (wp < bnum[ws] if vars.mode == 'strict'
-                                     else wp <= bnum[ws])
-            if not ok:
-                raise InconsistentModel('writer %d not visible for %d/%d'
-                                        % (w, sid, pos))
     return PredictedHistory(prefix, boundaries, changed, None,
                             level, strategy)
 
@@ -319,7 +296,8 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
     The prediction is the lexicographically first candidate whose prefix
     conforms to the level and that the strategy's oracle accepts.  timeout
     is a deadline for the whole call, checked before each candidate.  When
-    given, stats is filled with gen_s, solve_s and literals.
+    given, stats is filled with candidates (the number enumerated) and
+    search_s (seconds spent enumerating and deciding them).
     """
     if strategy not in STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
@@ -327,7 +305,7 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
         raise ValueError('unknown isolation level %r' % level)
     if stats is None:
         stats = {}
-    stats.update(gen_s=0.0, solve_s=0.0, literals=0)
+    stats.update(candidates=0, search_s=0.0)
     if len(obs_history.committed()) < 2:
         return None
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -335,7 +313,7 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
         if checker.check_serializable(obs_history,
                                       timeout=timeout).kind != 'serializable':
             log.warning('observed history is not serializable')
-    except solver.SolverUnknown:
+    except SolverUnknown:
         log.warning('could not verify the observed history is serializable')
 
     mode = 'relaxed' if strategy == APPROX_RELAXED else 'strict'
@@ -343,25 +321,18 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
     conforms = checker.check_causal if level == CAUSAL else checker.check_rc
     t0 = time.monotonic()
     vars = PredictionVars(obs_history, mode)
-    gen_feasibility(obs_history, vars)
-    stats['gen_s'] = time.monotonic() - t0
-    inc = solver.Incremental(vars.program)
-    while True:
-        left = None if deadline is None else deadline - time.monotonic()
-        if left is not None and left <= 0:
-            return Unknown('timeout')
-        res = inc.check(timeout=left)
-        stats['solve_s'] += res.stats['solve_s']
-        stats['literals'] = max(stats['literals'], res.stats['literals'])
-        if res.status == 'unknown':
-            return Unknown(res.reason)
-        if res.status == 'unsat':
-            return None
-        cand = extract_predicted_history(res.model, obs_history, vars,
-                                         level=level, strategy=strategy)
-        try:
-            if conforms(cand.history) and oracle(cand, deadline):
-                return cand
-        except solver.SolverUnknown as e:
-            return Unknown(e.reason)
-        inc.block(vars.symbols, res.model)
+    try:
+        for candidate in gen_feasibility(obs_history, vars):
+            if deadline is not None and time.monotonic() >= deadline:
+                return Unknown('timeout')
+            stats['candidates'] += 1
+            cand = extract_predicted_history(candidate, obs_history, vars,
+                                             level=level, strategy=strategy)
+            try:
+                if conforms(cand.history) and oracle(cand, deadline):
+                    return cand
+            except SolverUnknown as e:
+                return Unknown(e.reason)
+        return None
+    finally:
+        stats['search_s'] = time.monotonic() - t0
