@@ -15,7 +15,7 @@ from .checker import (Verdict, check_serializable, check_causal, check_rc,
 from .predictor import (CAUSAL, READ_COMMITTED, EXACT_STRICT, APPROX_STRICT,
                         APPROX_RELAXED, STRATEGIES, PredictedHistory,
                         predicted_from_trace, predict, Unknown)
-from .storesim import (KVStore, ReadPolicy, WorkloadProgram, ValidationReport,
+from .storesim import (ReadPolicy, WorkloadProgram, ValidationReport,
                        BUILTIN_WORKLOADS, LATEST_WRITER, RANDOM_WEAK,
                        run_workload, legal_writers, validate, parse_script,
                        ReplayMismatch, ScriptError)
@@ -31,7 +31,7 @@ __all__ = [
     'CAUSAL', 'READ_COMMITTED', 'EXACT_STRICT', 'APPROX_STRICT',
     'APPROX_RELAXED', 'STRATEGIES', 'PredictedHistory',
     'predicted_from_trace', 'predict', 'Unknown',
-    'KVStore', 'ReadPolicy', 'WorkloadProgram', 'ValidationReport',
+    'ReadPolicy', 'WorkloadProgram', 'ValidationReport',
     'BUILTIN_WORKLOADS', 'LATEST_WRITER', 'RANDOM_WEAK', 'run_workload',
     'legal_writers', 'validate', 'parse_script', 'ReplayMismatch',
     'ScriptError',

@@ -270,3 +270,12 @@ def check_causal(history):
 
 def check_rc(history):
     return _conformance(history, ww_rc_edges(history))
+
+
+def conforms(history, level):
+    """The conformance Verdict of history at level 'causal' or 'rc'."""
+    if level == 'causal':
+        return check_causal(history)
+    if level == 'rc':
+        return check_rc(history)
+    raise ValueError('unknown isolation level %r' % (level,))

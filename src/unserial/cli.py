@@ -187,10 +187,8 @@ def cmd_check(args):
         if level == 'serializability':
             verdict = checker.check_serializable(history,
                                                  timeout=cfg.timeout)
-        elif level == 'causal':
-            verdict = checker.check_causal(history)
         else:
-            verdict = checker.check_rc(history)
+            verdict = checker.conforms(history, level)
     except SolverUnknown as e:
         _print_json({'level': level, 'verdict': 'unknown', 'reason': str(e)})
         return EXIT_UNKNOWN

@@ -2,7 +2,9 @@
 
 A history is the triple (T, so, wr): the committed transactions including
 the initial-state transaction t0, the per-session order, and the per-key
-write-read relation recorded at each read site.  Everything downstream
+write-read relation recorded at each read site.  `ExecutionHistory` is the
+one place that builds t0, a write of 0 to every key, and `extended` is the
+one way to grow a history by a transaction's events.  Everything downstream
 (checker, predictor, store simulator) consumes the derived relations and
 position indexes computed here.
 """
@@ -41,8 +43,12 @@ class Transaction:
     def reads(self):
         return [e for e in self.events if e.kind == 'r']
 
-    def writes(self):
-        return [e for e in self.events if e.kind == 'w']
+    def write(self, key):
+        """The last write of key, or None."""
+        for e in reversed(self.events):
+            if e.kind == 'w' and e.key == key:
+                return e
+        return None
 
     def last_pos(self):
         return self.events[-1].pos if self.events else 0
@@ -51,16 +57,34 @@ class Transaction:
 class ExecutionHistory:
     """Immutable committed history including the synthesized t0."""
 
-    def __init__(self, txns, sessions):
-        # txns: dict tid -> Transaction (committed, normalized, incl t0)
+    def __init__(self, txns, sessions, keys=()):
+        # txns: dict tid -> Transaction (committed, normalized); a t0 in
+        # it is replaced by one that writes 0 to `keys` and to every key
+        # the transactions touch
         # sessions: dict sid -> ordered list of tids (so order), no t0
         self.txns = dict(txns)
+        self.txns.pop(T0, None)
+        self.keys = sorted({e.key for t in self.txns.values()
+                            for e in t.events}.union(keys))
+        self.txns[T0] = Transaction(T0, 0, tuple(
+            Event('w', k, 0, 0) for k in self.keys))
         self.sessions = {s: list(ts) for s, ts in sessions.items()}
         self.session_of = {t: s for s, ts in self.sessions.items() for t in ts}
         self.session_of[T0] = 0
-        self.keys = sorted({e.key for t in self.txns.values() for e in t.events})
         self._index()
         self._hb = None
+
+    def extended(self, tid, sid, events):
+        """This history with events appended to tid; a tid new to the
+        history becomes the last transaction of session sid."""
+        txns = dict(self.txns)
+        sessions = dict(self.sessions)
+        old = txns.get(tid)
+        if old is None:
+            sessions[sid] = sessions.get(sid, []) + [tid]
+        txns[tid] = Transaction(tid, sid, (old.events if old else ())
+                                + tuple(events))
+        return ExecutionHistory(txns, sessions, self.keys)
 
     def _index(self):
         self.wr = {}            # key -> set of (writer, reader)
@@ -80,19 +104,6 @@ class ExecutionHistory:
 
     def writers_of(self, key):
         return list(self._writers.get(key, []))
-
-    def so(self, t1, t2):
-        if t1 == t2:
-            return False
-        if t1 == T0:
-            return True
-        if t2 == T0:
-            return False
-        s1, s2 = self.session_of[t1], self.session_of[t2]
-        if s1 != s2:
-            return False
-        order = self.sessions[s1]
-        return order.index(t1) < order.index(t2)
 
     def so_pairs(self):
         pairs = set()
@@ -134,11 +145,8 @@ class ExecutionHistory:
 
     # per-transaction position indexes
     def wrpos_k(self, tid, key):
-        pos = None
-        for e in self.txns[tid].events:
-            if e.kind == 'w' and e.key == key:
-                pos = e.pos
-        return pos
+        e = self.txns[tid].write(key)
+        return None if e is None else e.pos
 
     def last_pos(self, tid):
         return self.txns[tid].last_pos()
@@ -227,9 +235,6 @@ def build_history(trace):
                 raise MalformedTrace(
                     'txn %d reads %s from %d which never wrote it' % (tid, e.key, e.writer))
 
-    txns = {}
-    for tid, (sid, events) in committed.items():
-        txns[tid] = Transaction(tid, sid, normalize_events(tid, events))
-    t0_events = tuple(Event('w', k, 0, 0) for k in sorted(all_keys))
-    txns[T0] = Transaction(T0, 0, t0_events)
-    return ExecutionHistory(txns, sessions)
+    txns = {tid: Transaction(tid, sid, normalize_events(tid, events))
+            for tid, (sid, events) in committed.items()}
+    return ExecutionHistory(txns, sessions, all_keys)

@@ -201,7 +201,6 @@ def extract_predicted_history(candidate, obs_history, vars, level=None,
     changed = []
     txns = {}
     sessions = {}
-    keys = set()
     for sid in sorted(h.sessions):
         b = bound[sid]
         for tid in h.sessions[sid]:
@@ -213,21 +212,13 @@ def extract_predicted_history(candidate, obs_history, vars, level=None,
                     w = writer[(sid, e.pos)]
                     if w != e.writer:
                         changed.append((tid, e.pos, e.key, e.writer, w))
-                    val = 0
-                    wp = h.wrpos_k(w, e.key)
-                    if w != T0 and wp is not None:
-                        for we in h.txns[w].events:
-                            if we.kind == 'w' and we.key == e.key:
-                                val = we.value
-                    evs.append(Event('r', e.key, e.pos, val, w))
+                    evs.append(Event('r', e.key, e.pos,
+                                     h.txns[w].write(e.key).value, w))
                 else:
-                    evs.append(Event('w', e.key, e.pos, e.value))
-                keys.add(e.key)
+                    evs.append(e)
             if evs:
                 txns[tid] = Transaction(tid, sid, tuple(evs))
                 sessions.setdefault(sid, []).append(tid)
-    txns[T0] = Transaction(T0, 0, tuple(
-        Event('w', k, 0, 0) for k in sorted(keys)))
     prefix = ExecutionHistory(txns, sessions)
     return PredictedHistory(prefix, boundaries, changed, None,
                             level, strategy)
@@ -318,7 +309,6 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
 
     mode = 'relaxed' if strategy == APPROX_RELAXED else 'strict'
     oracle = _exact_oracle if strategy == EXACT_STRICT else _approx_oracle
-    conforms = checker.check_causal if level == CAUSAL else checker.check_rc
     t0 = time.monotonic()
     vars = PredictionVars(obs_history, mode)
     try:
@@ -329,7 +319,8 @@ def predict(obs_history, level, strategy, timeout=None, stats=None):
             cand = extract_predicted_history(candidate, obs_history, vars,
                                              level=level, strategy=strategy)
             try:
-                if conforms(cand.history) and oracle(cand, deadline):
+                if (checker.conforms(cand.history, level)
+                        and oracle(cand, deadline)):
                     return cand
             except SolverUnknown as e:
                 return Unknown(e.reason)

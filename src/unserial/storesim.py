@@ -4,13 +4,17 @@ Transactions execute serially (whole transactions, no intra-transaction
 interleaving); scheduling nondeterminism comes only from the seeded
 scheduler.  Reads are resolved by a pluggable policy: the latest committed
 writer (observation), a random writer legal under a weak isolation level
-(fuzzing), or directed replay of a predicted history (validation).
+(fuzzing), or directed replay of a predicted history (validation).  A run
+keeps its committed transactions once and reads each value from its
+writer's write events there; `ExecutionHistory` adds t0 when a read asks
+for its legal writers.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .history import T0, Event, Transaction, ExecutionHistory, build_history
+from .history import (T0, Event, Transaction, ExecutionHistory,
+                      build_history, normalize_events)
 from . import checker, traceio
 from .solver import SolverUnknown
 
@@ -32,72 +36,43 @@ class ReadPolicy:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in (LATEST_WRITER, RANDOM_WEAK):
+            raise ValueError('unknown read policy %r' % (self.kind,))
+        if self.kind == RANDOM_WEAK and self.level not in ('causal', 'rc'):
+            raise ValueError('unknown isolation level %r' % (self.level,))
         self._rng = random.Random(self.rng_seed)
 
-    def choose(self, run, sid, tid, key, reads):
-        """Writer for a read of key; reads are the txn's earlier reads."""
+    def choose(self, ctx, key):
+        """Writer for the read of key by the transaction of ctx."""
         if self.kind == LATEST_WRITER:
-            return run.latest_writer(key)
-        legal = sorted(legal_writers(run.partial_history(tid, reads), sid,
-                                     key, self.level, tid=tid))
-        return self._rng.choice(legal)
-
-
-class KVStore:
-    """Append-only committed versions per key."""
-
-    def __init__(self):
-        self.versions = {}   # key -> [(tid, value)], committed only
-
-    def last_value_of(self, tid, key):
-        for t, v in reversed(self.versions.get(key, [])):
-            if t == tid:
-                return v
-        return 0 if tid == T0 else None
-
-    def apply(self, tid, writes):
-        for key, value in writes:
-            self.versions.setdefault(key, []).append((tid, value))
+            return ctx.run.latest.get(key, T0)
+        return self._rng.choice(sorted(ctx.legal_writers(key, self.level)))
 
 
 class _Run:
-    """State of one serial execution: store, trace and history so far."""
+    """State of one serial execution: its trace and committed history."""
 
     def __init__(self, policy):
-        self.store = KVStore()
         self.policy = policy
         self.txns = {}       # committed tid -> Transaction
         self.sessions = {}   # sid -> [committed tids]
+        self.latest = {}     # key -> last committed writer
         self.records = {}    # sid -> [TxnRecord], committed and aborted
         self.pos = {}        # sid -> last used position
-        self.keys = set()
         self.next_tid = 1
-        self.statuses = {}   # tid -> 'commit' | 'abort'
-        self.order = {}      # tid -> (sid, txn index within session program)
 
-    def latest_writer(self, key):
-        vs = self.store.versions.get(key)
-        return vs[-1][0] if vs else T0
+    def value_of(self, writer, key):
+        """The value writer committed to key: 0 for t0, None if none."""
+        if writer == T0:
+            return 0
+        txn = self.txns.get(writer)
+        e = None if txn is None else txn.write(key)
+        return None if e is None else e.value
 
-    def partial_history(self, cur_tid, extra_reads=()):
-        """Committed history so far plus the in-flight txn's reads."""
-        txns = dict(self.txns)
-        sessions = {s: list(ts) for s, ts in self.sessions.items()}
-        keys = set(self.keys)
-        for e in extra_reads:
-            keys.add(e.key)
-        if extra_reads:
-            sid = self._cur_sid
-            txns[cur_tid] = Transaction(cur_tid, sid, tuple(extra_reads))
-            sessions.setdefault(sid, []).append(cur_tid)
-        txns[T0] = Transaction(T0, 0, tuple(
-            Event('w', k, 0, 0) for k in sorted(keys)))
-        return ExecutionHistory(txns, sessions)
-
-    def run_txn(self, sid, body, txn_index, read_hook=None):
+    def run_txn(self, sid, body, read_hook=None):
+        """Run body as the next transaction of sid; returns its terminator."""
         tid = self.next_tid
         self.next_tid += 1
-        self._cur_sid = sid
         self.pos.setdefault(sid, 0)
         ctx = TxnCtx(self, sid, tid, read_hook)
         rec = traceio.TxnRecord(tid)
@@ -107,26 +82,15 @@ class _Run:
             rec.terminator = 'abort'
         rec.ops = ctx.ops
         self.records.setdefault(sid, []).append(rec)
-        self.statuses[tid] = rec.terminator
-        self.order[tid] = (sid, txn_index)
-        self.keys |= {op[1] for op in ctx.ops}
         if rec.terminator == 'commit':
-            self.store.apply(tid, ctx.writes)
-            events = []
-            for op in ctx.ops:
-                if op[0] == 'r':
-                    events.append(Event('r', op[1], op[2], op[4], op[3]))
-                else:
-                    events.append(Event('w', op[1], op[2], op[3]))
-            last = {}
-            for e in events:
-                if e.kind == 'w':
-                    last[e.key] = e.pos
-            events = tuple(e for e in events
-                           if e.kind == 'r' or last[e.key] == e.pos)
-            self.txns[tid] = Transaction(tid, sid, events)
+            events = [Event('r', op[1], op[2], op[4], op[3]) if op[0] == 'r'
+                      else Event(*op) for op in ctx.ops]
+            self.txns[tid] = Transaction(tid, sid,
+                                         normalize_events(tid, events))
             self.sessions.setdefault(sid, []).append(tid)
-        return tid
+            self.latest.update((op[1], tid) for op in ctx.ops
+                               if op[0] == 'w')
+        return rec.terminator
 
     def trace(self):
         t = traceio.Trace()
@@ -135,7 +99,7 @@ class _Run:
         return t
 
     def final_state(self):
-        return {k: vs[-1][1] for k, vs in sorted(self.store.versions.items())}
+        return {k: self.value_of(w, k) for k, w in sorted(self.latest.items())}
 
 
 class TxnCtx:
@@ -146,9 +110,8 @@ class TxnCtx:
         self.sid = sid
         self.tid = tid
         self.pending = {}
-        self.writes = []   # ordered (key, value)
         self.ops = []
-        self.reads = []    # Events, for partial histories
+        self.reads = []    # Events, for legal-writer queries
         self.read_hook = read_hook
 
     def _next_pos(self):
@@ -158,20 +121,22 @@ class TxnCtx:
     def get(self, key):
         if key in self.pending:
             return self.pending[key]
-        if self.read_hook is not None:
-            writer = self.read_hook(self, key)
-        else:
-            writer = self.run.policy.choose(self.run, self.sid, self.tid, key,
-                                            self.reads)
-        value = self.run.store.last_value_of(writer, key)
+        writer = (self.read_hook or self.run.policy.choose)(self, key)
+        value = self.run.value_of(writer, key)
         pos = self._next_pos()
         self.ops.append(('r', key, pos, writer, value))
         self.reads.append(Event('r', key, pos, value, writer))
         return value
 
+    def legal_writers(self, key, level):
+        """Writers of key that this transaction may read at level."""
+        h = ExecutionHistory(self.run.txns, self.run.sessions)
+        if self.reads:   # else legal_writers adds the transaction itself
+            h = h.extended(self.tid, self.sid, self.reads)
+        return legal_writers(h, self.sid, key, level, tid=self.tid)
+
     def put(self, key, value):
         self.pending[key] = value
-        self.writes.append((key, value))
         self.ops.append(('w', key, self._next_pos(), value))
 
     def abort(self):
@@ -408,7 +373,7 @@ def run_workload(program, sessions, txns_per_session, seed, policy):
         if not ready:
             break
         sid = rng.choice(ready)
-        run.run_txn(sid, queues[sid][done[sid]], done[sid])
+        run.run_txn(sid, queues[sid][done[sid]])
         done[sid] += 1
     trace = run.trace()
     return trace, build_history(trace)
@@ -418,35 +383,16 @@ def legal_writers(partial_history, session, key, level, tid=None):
     """Committed writers of key whose choice keeps `level` conformance.
 
     The candidate read is tentatively appended to the in-flight transaction
-    of `session` in partial_history (created there if absent) and the
-    level checker is re-run.  t0 counts as a writer of every key.
+    `tid` of `session` in partial_history (created there if absent) and
+    the level checker is re-run.  t0 counts as a writer of every key.
     """
     h = partial_history
-    check = checker.check_causal if level == 'causal' else checker.check_rc
-    cur = tid
-    if cur is None:
-        cur = max(h.txns) + 1
-    writers = set(h.writers_of(key)) | {T0}
-    writers.discard(cur)
-    legal = set()
-    for w in sorted(writers):
-        txns = dict(h.txns)
-        sessions = {s: list(ts) for s, ts in h.sessions.items()}
-        old = txns.get(cur)
-        pos = (old.events[-1].pos + 1) if old is not None and old.events \
-            else h.max_pos() + 1
-        ev = Event('r', key, pos, 0, w)
-        if old is not None:
-            txns[cur] = Transaction(cur, session, old.events + (ev,))
-        else:
-            txns[cur] = Transaction(cur, session, (ev,))
-            sessions.setdefault(session, []).append(cur)
-        if key not in h.keys:
-            t0 = txns[T0]
-            txns[T0] = Transaction(T0, 0, t0.events + (Event('w', key, 0, 0),))
-        if check(ExecutionHistory(txns, sessions)):
-            legal.add(w)
-    return legal
+    cur = max(h.txns) + 1 if tid is None else tid
+    pos = h.max_pos() + 1   # last in its txn; conformance ignores positions
+    return {w for w in sorted((set(h.writers_of(key)) | {T0}) - {cur})
+            if checker.conforms(
+                h.extended(cur, session, (Event('r', key, pos, 0, w),)),
+                level)}
 
 
 @dataclass
@@ -457,15 +403,6 @@ class ValidationReport:
     validating_history: ExecutionHistory
     validating_trace: traceio.Trace
     final_state: dict
-
-
-def _boundary_txns(predicted):
-    """Last included transaction of each session in the predicted prefix."""
-    out = {}
-    for sid, tids in predicted.history.sessions.items():
-        if tids:
-            out[sid] = tids[-1]
-    return out
 
 
 def validate(predicted, program, sessions, txns_per_session, seed, level):
@@ -485,19 +422,12 @@ def validate(predicted, program, sessions, txns_per_session, seed, level):
             raise ReplayMismatch(
                 'predicted session %d does not prefix the observed run' % sid)
 
-    boundary = _boundary_txns(predicted)
+    # run each session up to its last predicted transaction, in an order
+    # consistent with the predicted hb (smallest ready tid first); an
+    # hb-predecessor of a predicted transaction is itself predicted
+    cutoff = {sid: obs_index[tids[-1]][1]
+              for sid, tids in predicted.history.sessions.items() if tids}
     hb = predicted.history.hb()
-    targets = set(boundary.values())
-    for t in predicted.history.committed():
-        if t != T0 and any((t, b) in hb for b in boundary.values()):
-            targets.add(t)
-
-    # run sessions up to their last needed program index, in an order
-    # consistent with the predicted hb (smallest ready tid first)
-    cutoff = {}
-    for t in targets:
-        sid, i = obs_index[t]
-        cutoff[sid] = max(cutoff.get(sid, -1), i)
     bodies = dict(program.session_bodies(sessions, txns_per_session))
     plan = {sid: [(rec.tid, bodies[sid][i])
                   for i, rec in enumerate(records) if i <= cutoff.get(sid, -1)]
@@ -535,13 +465,9 @@ def validate(predicted, program, sessions, txns_per_session, seed, level):
                 writer = None
             else:
                 writer = want.writer
-                wrote = (writer == T0 and key in ctx.run.keys | {key}) or \
-                    ctx.run.store.last_value_of(writer, key) is not None
-                if writer != T0 and not wrote:
+                if ctx.run.value_of(writer, key) is None:
                     reason, writer = 'writer-missing', None
-            legal = legal_writers(
-                ctx.run.partial_history(ctx.tid, ctx.reads), ctx.sid,
-                key, level, tid=ctx.tid)
+            legal = ctx.legal_writers(key, level)
             if writer is not None and writer not in legal:
                 reason, writer = 'isolation-illegal', None
             if reason is not None:
@@ -551,9 +477,8 @@ def validate(predicted, program, sessions, txns_per_session, seed, level):
             return writer
 
         run.next_tid = tid
-        run.run_txn(sid, body, obs_index[tid][1], read_hook=read_hook)
+        val_status = run.run_txn(sid, body, read_hook=read_hook)
         obs_status = 'commit' if tid in obs_history.txns else 'abort'
-        val_status = run.statuses[tid]
         if val_status != obs_status or (pred is not None
                                         and val_status == 'abort'):
             sites.append((tid, None,

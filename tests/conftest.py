@@ -14,7 +14,7 @@ def make_history(spec):
 
     Event tuples are ('w', key, pos, value) or ('r', key, pos, value,
     writer).  Sessions are inferred; tids within a session are ordered by
-    ascending tid.  t0 writing 0 to every used key is synthesized.
+    ascending tid.  ExecutionHistory synthesizes t0.
     """
     txns = {}
     sessions = {}
@@ -23,9 +23,6 @@ def make_history(spec):
         events = tuple(u.Event(*e) for e in raw)
         txns[tid] = u.Transaction(tid, sid, events)
         sessions.setdefault(sid, []).append(tid)
-    keys = sorted({e.key for t in txns.values() for e in t.events})
-    txns[u.T0] = u.Transaction(u.T0, 0,
-                               tuple(u.Event('w', k, 0, 0) for k in keys))
     return u.ExecutionHistory(txns, sessions)
 
 
@@ -82,9 +79,6 @@ def random_history(seed):
                 out.append(e)
         txns[t] = u.Transaction(t, s, normalize_events(t, out))
         sessions.setdefault(s, []).append(t)
-    used = sorted({e.key for tx in txns.values() for e in tx.events})
-    txns[u.T0] = u.Transaction(u.T0, 0,
-                               tuple(u.Event('w', k, 0, 0) for k in used))
     return u.ExecutionHistory(txns, sessions)
 
 

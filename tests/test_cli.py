@@ -212,6 +212,25 @@ def test_render_dot(capsys, tmp_path):
     assert out.startswith('digraph history {')
 
 
+def test_render_keeps_aborted_only_key_in_t0(capsys, tmp_path):
+    # the aborted transaction is the only one that touches b
+    script = tmp_path / 'w.script'
+    script.write_text('session 1\ntxn\nget b -> y\nget a -> x\n'
+                      'abort_if x < 10\ncommit\n'
+                      'session 2\ntxn\nput a 3\ncommit\n')
+    obs = tmp_path / 'obs.trace'
+    code, _ = run_cli(capsys, 'observe', '--script', str(script),
+                      '--sessions', '2', '--txns', '1', '--seed', '0',
+                      '--out', str(obs))
+    assert code == 0
+    assert 'r b ' in obs.read_text() and 'abort' in obs.read_text()
+    code, out = run_cli(capsys, 'render', str(obs), '--values')
+    assert code == 0
+    t0 = next(line for line in out.splitlines()
+              if line.strip().startswith('t0 '))
+    assert 'W(a)@0=0' in t0 and 'W(b)@0=0' in t0
+
+
 def test_pipeline_outputs_are_deterministic(capsys, tmp_path):
     outputs = []
     for tag in ('a', 'b'):

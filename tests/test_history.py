@@ -37,10 +37,12 @@ def test_hb_matches_matrix_oracle():
 
 def test_t0_precedes_everything():
     h = random_history(7)
+    so = h.so_pairs()
     for t in h.committed():
         if t != u.T0:
             assert (u.T0, t) in h.hb()
-            assert h.so(u.T0, t)
+            assert (u.T0, t) in so
+            assert (t, u.T0) not in so
 
 
 def test_so_within_session_only():
@@ -49,11 +51,12 @@ def test_so_within_session_only():
         2: (1, [('w', 'x', 1, 2)]),
         3: (2, [('w', 'x', 1, 3)]),
     })
-    assert h.so(1, 2)
-    assert not h.so(2, 1)
-    assert not h.so(1, 3)
-    assert not h.so(3, 1)
-    assert not h.so(1, 1)
+    so = h.so_pairs()
+    assert (1, 2) in so
+    assert (2, 1) not in so
+    assert (1, 3) not in so
+    assert (3, 1) not in so
+    assert (1, 1) not in so
 
 
 def test_position_indexes():
@@ -161,3 +164,57 @@ def test_build_history_synthesizes_t0():
     h = u.build_history(_trace('session 1\ntxn 1\nw x 1 5\ncommit\n'))
     t0 = h.txns[u.T0]
     assert [(e.kind, e.key, e.value) for e in t0.events] == [('w', 'x', 0)]
+
+
+# --- construction contract -----------------------------------------------
+
+def _t0_keys(h):
+    return [(e.kind, e.key, e.pos, e.value) for e in h.txns[u.T0].events]
+
+
+def test_t0_covers_given_and_touched_keys():
+    txns = {1: u.Transaction(1, 1, (u.Event('w', 'y', 1, 5),))}
+    h = u.ExecutionHistory(txns, {1: [1]}, keys={'x'})
+    assert _t0_keys(h) == [('w', 'x', 0, 0), ('w', 'y', 0, 0)]
+    assert h.keys == ['x', 'y']
+
+
+def test_t0_passed_in_is_replaced():
+    txns = {
+        u.T0: u.Transaction(u.T0, 0, (u.Event('w', 'z', 0, 7),)),
+        1: u.Transaction(1, 1, (u.Event('r', 'x', 1, 0, u.T0),)),
+    }
+    h = u.ExecutionHistory(txns, {1: [1]})
+    assert _t0_keys(h) == [('w', 'x', 0, 0)]
+
+
+def test_extended_appends_and_creates_without_touching_source():
+    h = make_history({1: (1, [('w', 'x', 1, 1)])})
+    before = (dict(h.txns), {s: list(ts) for s, ts in h.sessions.items()})
+    read = u.Event('r', 'y', 2, 0, u.T0)
+    grown = h.extended(1, 1, (read,))
+    assert grown.txns[1].events == (u.Event('w', 'x', 1, 1), read)
+    assert grown.sessions == {1: [1]}
+    assert _t0_keys(grown) == [('w', 'x', 0, 0), ('w', 'y', 0, 0)]
+    new = h.extended(2, 2, (u.Event('r', 'x', 1, 1, 1),))
+    assert new.sessions == {1: [1], 2: [2]}
+    assert new.wr == {'x': {(1, 2)}}
+    again = h.extended(3, 1, (u.Event('w', 'x', 2, 3),))
+    assert again.sessions == {1: [1, 3]}
+    assert (dict(h.txns), h.sessions) == before
+    assert h.wr == {}
+
+
+def test_transaction_write_is_last_write_of_key():
+    txn = u.Transaction(1, 1, (u.Event('w', 'x', 1, 1),
+                               u.Event('r', 'y', 2, 0, 0),
+                               u.Event('w', 'x', 3, 2)))
+    assert txn.write('x') == u.Event('w', 'x', 3, 2)
+    assert txn.write('y') is None
+
+
+def test_t0_keeps_keys_only_aborted_txns_touch():
+    h = u.build_history(_trace(
+        'session 1\ntxn 1\nw x 1 5\ncommit\n'
+        'txn 2\nw y 2 6\nabort\n'))
+    assert _t0_keys(h) == [('w', 'x', 0, 0), ('w', 'y', 0, 0)]

@@ -104,6 +104,21 @@ def test_legal_writers_conform_and_include_latest():
             assert w == u.T0 or w in h.writers_of('acc')
 
 
+def test_unknown_read_policy_or_level_is_rejected():
+    # an unknown level used to fuzz at read committed without a word
+    for level in (None, 'Causal', 'serializability'):
+        with pytest.raises(ValueError):
+            ss.ReadPolicy(ss.RANDOM_WEAK, level, rng_seed=3)
+    with pytest.raises(ValueError):
+        ss.ReadPolicy('latest')
+    _, h = run('deposit-deposit', 2, 1, 0)
+    for level in ('Causal', 'serializability'):
+        with pytest.raises(ValueError):
+            ss.legal_writers(h, 1, 'acc', level)
+        with pytest.raises(ValueError):
+            checker.conforms(h, level)
+
+
 # --- scripted workloads -------------------------------------------------------
 
 SCRIPT = """\
