@@ -8,10 +8,8 @@ search's state cap.
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import checker, predictor, storesim, traceio
 from .history import build_history, MalformedTrace
@@ -22,57 +20,28 @@ EXIT_NO = 1
 EXIT_CONFIG = 2
 EXIT_UNKNOWN = 3
 
-TIMEOUT_ENV = 'UNSERIAL_TIMEOUT'
-
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    workload: str | None = None
-    script: str | None = None
-    sessions: int = 2
-    txns: int = 1
-    seed: int = 0
-    isolation: str = 'causal'
-    strategy: str = predictor.APPROX_RELAXED
-    timeout: float | None = None
-    policy_seed: int = 0
-
-    @classmethod
-    def from_args(cls, args):
-        cfg = cls()
-        for name in ('workload', 'script', 'sessions', 'txns', 'seed',
-                     'isolation', 'strategy', 'timeout', 'policy_seed'):
-            if hasattr(args, name) and getattr(args, name) is not None:
-                setattr(cfg, name, getattr(args, name))
-        if cfg.timeout is None and os.environ.get(TIMEOUT_ENV):
-            try:
-                cfg.timeout = float(os.environ[TIMEOUT_ENV])
-            except ValueError:
-                raise ConfigError('bad %s value %r'
-                                  % (TIMEOUT_ENV, os.environ[TIMEOUT_ENV]))
-        if hasattr(args, 'sessions'):
-            if cfg.sessions < 1:
-                raise ConfigError('--sessions must be at least 1')
-            if cfg.txns < 1:
-                raise ConfigError('--txns must be at least 1')
-        return cfg
-
-    def program(self):
-        if self.script is not None:
-            try:
-                with open(self.script) as f:
-                    return storesim.parse_script(f.read())
-            except OSError as e:
-                raise ConfigError('cannot read script: %s' % e)
-            except storesim.ScriptError as e:
-                raise ConfigError('bad script: %s' % e)
-        if self.workload not in storesim.BUILTIN_WORKLOADS:
-            raise ConfigError('unknown workload %r' % self.workload)
-        return storesim.WorkloadProgram(self.workload)
+def _program(args):
+    """The workload program of a command with workload arguments."""
+    if args.sessions < 1:
+        raise ConfigError('--sessions must be at least 1')
+    if args.txns < 1:
+        raise ConfigError('--txns must be at least 1')
+    if args.script is not None:
+        try:
+            with open(args.script) as f:
+                return storesim.parse_script(f.read())
+        except OSError as e:
+            raise ConfigError('cannot read script: %s' % e)
+        except storesim.ScriptError as e:
+            raise ConfigError('bad script: %s' % e)
+    if args.workload not in storesim.BUILTIN_WORKLOADS:
+        raise ConfigError('unknown workload %r' % args.workload)
+    return storesim.WorkloadProgram(args.workload)
 
 
 def _emit(text, path):
@@ -107,24 +76,22 @@ def _load_history(path):
 
 
 def cmd_observe(args):
-    cfg = RunConfig.from_args(args)
     trace, _history = storesim.run_workload(
-        cfg.program(), cfg.sessions, cfg.txns, cfg.seed,
+        _program(args), args.sessions, args.txns, args.seed,
         storesim.ReadPolicy(storesim.LATEST_WRITER))
     _emit(traceio.emit_trace(trace), args.out)
     return EXIT_OK
 
 
 def cmd_predict(args):
-    cfg = RunConfig.from_args(args)
     history = _load_history(args.trace)
     stats = {}
-    result = predictor.predict(history, cfg.isolation, cfg.strategy,
-                               timeout=cfg.timeout, stats=stats)
+    result = predictor.predict(history, args.isolation, args.strategy,
+                               timeout=args.timeout, stats=stats)
     summary = {
         'status': 'sat',
-        'level': cfg.isolation,
-        'strategy': cfg.strategy,
+        'level': args.isolation,
+        'strategy': args.strategy,
         'candidates': stats['candidates'],
         'search_ms': round(stats['search_s'] * 1000.0, 3),
     }
@@ -153,15 +120,15 @@ def cmd_predict(args):
 
 
 def cmd_validate(args):
-    cfg = RunConfig.from_args(args)
+    program = _program(args)
     try:
         predicted = predictor.predicted_from_trace(
-            _load_trace(args.predicted), cfg.isolation)
+            _load_trace(args.predicted), args.isolation)
     except MalformedTrace as e:
         raise ConfigError('bad predicted history: %s' % e)
     try:
-        report = storesim.validate(predicted, cfg.program(), cfg.sessions,
-                                   cfg.txns, cfg.seed, cfg.isolation)
+        report = storesim.validate(predicted, program, args.sessions,
+                                   args.txns, args.seed, args.isolation)
     except storesim.ReplayMismatch as e:
         raise ConfigError(str(e))
     _print_json({
@@ -180,13 +147,12 @@ def cmd_validate(args):
 
 
 def cmd_check(args):
-    cfg = RunConfig.from_args(args)
     history = _load_history(args.trace)
     level = args.level
     try:
         if level == 'serializability':
             verdict = checker.check_serializable(history,
-                                                 timeout=cfg.timeout)
+                                                 timeout=args.timeout)
         else:
             verdict = checker.conforms(history, level)
     except SolverUnknown as e:
@@ -205,21 +171,20 @@ def cmd_check(args):
 
 
 def cmd_fuzz(args):
-    cfg = RunConfig.from_args(args)
+    program = _program(args)
     if args.runs < 0:
         raise ConfigError('--runs must not be negative')
-    program = cfg.program()
-    deadline = (None if cfg.timeout is None
-                else time.monotonic() + cfg.timeout)
+    deadline = (None if args.timeout is None
+                else time.monotonic() + args.timeout)
     runs = []
     bad = 0
     for i in range(args.runs):
         if deadline is not None and time.monotonic() >= deadline:
             break
-        seed = cfg.seed + i
-        policy = storesim.ReadPolicy(storesim.RANDOM_WEAK, cfg.isolation,
-                                     rng_seed=cfg.policy_seed + i)
-        _, history = storesim.run_workload(program, cfg.sessions, cfg.txns,
+        seed = args.seed + i
+        policy = storesim.ReadPolicy(storesim.RANDOM_WEAK, args.isolation,
+                                     rng_seed=args.policy_seed + i)
+        _, history = storesim.run_workload(program, args.sessions, args.txns,
                                            seed, policy)
         left = None if deadline is None else deadline - time.monotonic()
         try:

@@ -38,7 +38,6 @@ class Transaction:
     tid: int
     sid: int
     events: tuple
-    status: str = 'committed'  # or 'aborted'
 
     def reads(self):
         return [e for e in self.events if e.kind == 'r']
@@ -191,34 +190,22 @@ def build_history(trace):
     """
     committed = {}
     sessions = {}
-    status = {}
     wrote = {}  # tid -> set of keys written (pre-normalization)
     all_keys = set()
     for sid, records in trace.sessions:
         last = 0
         for rec in records:
-            if rec.tid in status:
+            if rec.tid in wrote:
                 raise MalformedTrace('duplicate tid %d' % rec.tid)
-            status[rec.tid] = rec.terminator
-            events = []
-            keys_written = set()
-            for op in rec.ops:
-                if op[0] == 'r':
-                    _, key, pos, writer, value = op
-                    ev = Event('r', key, pos, value, writer)
-                else:
-                    _, key, pos, value = op
-                    ev = Event('w', key, pos, value)
-                    keys_written.add(key)
-                if ev.pos <= last:
+            for e in rec.ops:
+                if e.pos <= last:
                     raise MalformedTrace(
-                        'position regression at %d in session %d' % (ev.pos, sid))
-                last = ev.pos
-                all_keys.add(ev.key)
-                events.append(ev)
-            wrote[rec.tid] = keys_written
+                        'position regression at %d in session %d' % (e.pos, sid))
+                last = e.pos
+                all_keys.add(e.key)
+            wrote[rec.tid] = {e.key for e in rec.ops if e.kind == 'w'}
             if rec.terminator == 'commit':
-                committed[rec.tid] = (sid, events)
+                committed[rec.tid] = (sid, rec.ops)
                 sessions.setdefault(sid, []).append(rec.tid)
 
     # validate read references against committed writers

@@ -75,21 +75,18 @@ class _Run:
         self.next_tid += 1
         self.pos.setdefault(sid, 0)
         ctx = TxnCtx(self, sid, tid, read_hook)
-        rec = traceio.TxnRecord(tid)
+        rec = traceio.TxnRecord(tid, ctx.ops)
         try:
             body(ctx)
         except _Abort:
             rec.terminator = 'abort'
-        rec.ops = ctx.ops
         self.records.setdefault(sid, []).append(rec)
         if rec.terminator == 'commit':
-            events = [Event('r', op[1], op[2], op[4], op[3]) if op[0] == 'r'
-                      else Event(*op) for op in ctx.ops]
             self.txns[tid] = Transaction(tid, sid,
-                                         normalize_events(tid, events))
+                                         normalize_events(tid, ctx.ops))
             self.sessions.setdefault(sid, []).append(tid)
-            self.latest.update((op[1], tid) for op in ctx.ops
-                               if op[0] == 'w')
+            self.latest.update((e.key, tid) for e in ctx.ops
+                               if e.kind == 'w')
         return rec.terminator
 
     def trace(self):
@@ -110,8 +107,7 @@ class TxnCtx:
         self.sid = sid
         self.tid = tid
         self.pending = {}
-        self.ops = []
-        self.reads = []    # Events, for legal-writer queries
+        self.ops = []      # Events, reads and writes
         self.read_hook = read_hook
 
     def _next_pos(self):
@@ -123,21 +119,20 @@ class TxnCtx:
             return self.pending[key]
         writer = (self.read_hook or self.run.policy.choose)(self, key)
         value = self.run.value_of(writer, key)
-        pos = self._next_pos()
-        self.ops.append(('r', key, pos, writer, value))
-        self.reads.append(Event('r', key, pos, value, writer))
+        self.ops.append(Event('r', key, self._next_pos(), value, writer))
         return value
 
     def legal_writers(self, key, level):
         """Writers of key that this transaction may read at level."""
         h = ExecutionHistory(self.run.txns, self.run.sessions)
-        if self.reads:   # else legal_writers adds the transaction itself
-            h = h.extended(self.tid, self.sid, self.reads)
+        reads = [e for e in self.ops if e.kind == 'r']
+        if reads:   # else legal_writers adds the transaction itself
+            h = h.extended(self.tid, self.sid, reads)
         return legal_writers(h, self.sid, key, level, tid=self.tid)
 
     def put(self, key, value):
         self.pending[key] = value
-        self.ops.append(('w', key, self._next_pos(), value))
+        self.ops.append(Event('w', key, self._next_pos(), value))
 
     def abort(self):
         raise _Abort()
@@ -251,13 +246,19 @@ class ScriptError(Exception):
     pass
 
 
-def _parse_expr(tokens, line_no):
+def _bound_var(name, bound, line_no):
+    if name not in bound:
+        raise ScriptError('line %d: unbound variable %r' % (line_no, name))
+    return name
+
+
+def _parse_expr(tokens, line_no, bound):
     """var | int, combined with + and - left to right."""
     def term(tok):
         try:
             return ('const', int(tok))
         except ValueError:
-            return ('var', tok)
+            return ('var', _bound_var(tok, bound, line_no))
 
     if not tokens or tokens[0] in '+-':
         raise ScriptError('line %d: bad expression' % line_no)
@@ -271,12 +272,10 @@ def _parse_expr(tokens, line_no):
     return expr
 
 
-def _eval_expr(expr, env, line_no):
+def _eval_expr(expr, env):
     total = 0
     for sign, (kind, v) in expr:
-        val = v if kind == 'const' else env.get(v)
-        if val is None:
-            raise ScriptError('line %d: unbound variable %r' % (line_no, v))
+        val = v if kind == 'const' else env[v]
         total += val if sign == '+' else -val
     return total
 
@@ -284,18 +283,13 @@ def _eval_expr(expr, env, line_no):
 def _scripted_body(ops):
     def body(ctx):
         env = {}
-        for (line_no, op) in ops:
+        for op in ops:
             if op[0] == 'get':
                 env[op[2]] = ctx.get(op[1])
             elif op[0] == 'put':
-                ctx.put(op[1], _eval_expr(op[2], env, line_no))
-            elif op[0] == 'abort_if':
-                lhs = env.get(op[1])
-                if lhs is None:
-                    raise ScriptError('line %d: unbound variable %r'
-                                      % (line_no, op[1]))
-                if lhs < op[2]:
-                    ctx.abort()
+                ctx.put(op[1], _eval_expr(op[2], env))
+            elif env[op[1]] < op[2]:    # abort_if
+                ctx.abort()
     return body
 
 
@@ -329,25 +323,28 @@ def parse_script(text):
             if cur_bodies is None:
                 raise ScriptError('line %d: txn outside session' % line_no)
             cur_ops = []
+            bound = set()   # a txn is straight-line: get binds, abort_if ends
             cur_bodies.append(_scripted_body(cur_ops))
         elif cur_ops is None:
             raise ScriptError('line %d: %s outside txn' % (line_no, kw))
         elif kw == 'get':
             if len(toks) != 4 or toks[2] != '->':
                 raise ScriptError('line %d: get takes "key -> var"' % line_no)
-            cur_ops.append((line_no, ('get', toks[1], toks[3])))
+            cur_ops.append(('get', toks[1], toks[3]))
+            bound.add(toks[3])
         elif kw == 'put':
             if len(toks) < 3:
                 raise ScriptError('line %d: put takes key and expression'
                                   % line_no)
-            cur_ops.append((line_no,
-                            ('put', toks[1], _parse_expr(toks[2:], line_no))))
+            cur_ops.append(('put', toks[1],
+                            _parse_expr(toks[2:], line_no, bound)))
         elif kw == 'abort_if':
             if (len(toks) != 4 or toks[2] != '<'
                     or not toks[3].lstrip('-').isdigit()):
                 raise ScriptError('line %d: abort_if takes "var < int"'
                                   % line_no)
-            cur_ops.append((line_no, ('abort_if', toks[1], int(toks[3]))))
+            cur_ops.append(('abort_if', _bound_var(toks[1], bound, line_no),
+                            int(toks[3])))
         elif kw == 'commit':
             cur_ops = None
         else:

@@ -12,7 +12,7 @@ Grammar (UTF-8, one directive per line, '#' starts a comment):
 
 from dataclasses import dataclass, field
 
-from .history import T0
+from .history import T0, Event
 
 INF = 'inf'
 
@@ -30,7 +30,7 @@ class SemanticError(Exception):
 @dataclass
 class TxnRecord:
     tid: int
-    ops: list = field(default_factory=list)
+    ops: list = field(default_factory=list)  # history.Event, reads and writes
     terminator: str = 'commit'
 
 
@@ -53,24 +53,21 @@ def parse_trace(text):
     cur_txn = None
     seen_tids = set()
     last_pos = {}
-
-    def close_txn():
-        nonlocal cur_txn
-        cur_txn = None
-
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split('#', 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         kw = toks[0]
+        if kw in ('session', 'txn') and cur_txn is not None:
+            raise ParseError(line_no, 'txn %d has no commit or abort'
+                             % cur_txn.tid)
         if kw == 'session':
             if len(toks) != 2:
                 raise ParseError(line_no, 'session takes one argument')
             sid = _int(toks[1], line_no, 'session id')
             if sid <= 0:
                 raise ParseError(line_no, 'session ids are positive')
-            close_txn()
             cur_session = (sid, [])
             trace.sessions.append(cur_session)
             last_pos.setdefault(sid, 0)
@@ -97,23 +94,23 @@ def parse_trace(text):
                 key, pos = toks[1], _int(toks[2], line_no, 'pos')
                 writer = _int(toks[3], line_no, 'writer')
                 value = _int(toks[4], line_no, 'value')
-                op = ('r', key, pos, writer, value)
+                e = Event('r', key, pos, value, writer)
             else:
                 if len(toks) != 4:
                     raise ParseError(line_no, 'w takes key pos value')
                 key, pos = toks[1], _int(toks[2], line_no, 'pos')
                 value = _int(toks[3], line_no, 'value')
-                op = ('w', key, pos, value)
+                e = Event('w', key, pos, value)
             if pos <= last_pos[sid]:
                 raise SemanticError(
                     'position regression at %d in session %d' % (pos, sid))
             last_pos[sid] = pos
-            cur_txn.ops.append(op)
+            cur_txn.ops.append(e)
         elif kw in ('commit', 'abort'):
             if cur_txn is None:
                 raise ParseError(line_no, '%s outside txn' % kw)
             cur_txn.terminator = kw
-            close_txn()
+            cur_txn = None
         elif kw == 'boundary':
             if len(toks) != 3:
                 raise ParseError(line_no, 'boundary takes sid and pos|inf')
@@ -124,6 +121,9 @@ def parse_trace(text):
                 toks[2], line_no, 'boundary pos')
         else:
             raise ParseError(line_no, 'unknown directive %r' % kw)
+    if cur_txn is not None:
+        raise ParseError(line_no, 'txn %d has no commit or abort'
+                         % cur_txn.tid)
     return trace
 
 
@@ -133,11 +133,12 @@ def emit_trace(trace):
         out.append('session %d' % sid)
         for rec in records:
             out.append('txn %d' % rec.tid)
-            for op in rec.ops:
-                if op[0] == 'r':
-                    out.append('r %s %d %d %d' % op[1:])
+            for e in rec.ops:
+                if e.kind == 'r':
+                    out.append('r %s %d %d %d'
+                               % (e.key, e.pos, e.writer, e.value))
                 else:
-                    out.append('w %s %d %d' % op[1:])
+                    out.append('w %s %d %d' % (e.key, e.pos, e.value))
             out.append(rec.terminator)
     if trace.boundaries is not None:
         for sid in sorted(trace.boundaries):
@@ -150,16 +151,9 @@ def history_to_trace(history, boundaries=None):
     """Rebuild a Trace from a (possibly predicted) history.  t0 is implicit."""
     trace = Trace()
     for sid in sorted(history.sessions):
-        records = []
-        for tid in history.sessions[sid]:
-            rec = TxnRecord(tid)
-            for e in history.txns[tid].events:
-                if e.kind == 'r':
-                    rec.ops.append(('r', e.key, e.pos, e.writer, e.value))
-                else:
-                    rec.ops.append(('w', e.key, e.pos, e.value))
-            records.append(rec)
-        trace.sessions.append((sid, records))
+        trace.sessions.append((sid, [
+            TxnRecord(tid, list(history.txns[tid].events))
+            for tid in history.sessions[sid]]))
     if boundaries is not None:
         trace.boundaries = dict(boundaries)
     return trace

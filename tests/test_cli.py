@@ -8,6 +8,8 @@ import pytest
 
 from unserial import cli
 
+from test_storesim import SCRIPT
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -113,6 +115,19 @@ def test_bad_trace_content_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_truncated_trace_and_unbound_script_exit_2(capsys, tmp_path):
+    # txn 1 is cut by session 2, txn 2 by the end of the file
+    trunc = tmp_path / 'trunc.trace'
+    trunc.write_text('session 1\ntxn 1\nw x 1 5\n'
+                     'session 2\ntxn 2\nr x 1 1 5\n')
+    assert cli.main(['check', str(trunc)]) == 2
+    assert 'txn 1 has no commit or abort' in capsys.readouterr().err
+    script = tmp_path / 'unbound.script'
+    script.write_text('session 1\ntxn\nput acc y + 1\ncommit\n')
+    assert cli.main(['observe', '--script', str(script)]) == 2
+    assert "unbound variable 'y'" in capsys.readouterr().err
+
+
 def test_validate_missing_writer_exit_2(capsys, tmp_path):
     pred = tmp_path / 'pred.trace'
     pred.write_text('session 1\ntxn 1\nr acc 1 7 0\nw acc 2 50\ncommit\n'
@@ -162,11 +177,17 @@ def test_mutated_traces_never_raise(capsys, tmp_path):
     assert 2 in codes and 0 in codes
 
 
-def test_bad_timeout_env_exit_2(capsys, tmp_path, monkeypatch):
-    obs = observe(capsys, tmp_path)
-    monkeypatch.setenv(cli.TIMEOUT_ENV, 'soon')
-    code, _ = run_cli(capsys, 'predict', str(obs))
-    assert code == 2
+def test_mutated_scripts_never_raise(capsys, tmp_path):
+    # a script's one-token damage ends in an exit code too, also when it
+    # leaves a variable unbound
+    rng = random.Random(1)
+    bad = tmp_path / 'mutated.script'
+    for _ in range(200):
+        bad.write_text(_mutate(rng, SCRIPT))
+        for argv in (('observe', '--script', str(bad)),
+                     ('fuzz', '--script', str(bad), '--runs', '2')):
+            code, _ = run_cli(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, bad.read_text())
 
 
 def test_fuzz_zero_runs(capsys):

@@ -170,16 +170,13 @@ def test_scripted_guard_commits_when_funded():
     'session 1\ntxn\nput a + 3\ncommit\n',    # leading operator
     'session 1\ntxn\nabort_if x > 3\ncommit\n',   # only < supported
     'session 1\ntxn\nfrob a\ncommit\n',       # unknown directive
+    'session 1\ntxn\nput a x + 1\ncommit\n',  # unbound variable
+    'session 1\ntxn\nabort_if x < 3\ncommit\n',   # unbound guard
+    'session 1\ntxn\nget a -> x\ncommit\ntxn\nput a x\ncommit\n',  # per txn
 ])
 def test_script_errors(text):
     with pytest.raises(ss.ScriptError):
         ss.parse_script(text)
-
-
-def test_script_unbound_variable_fails_at_run_time():
-    prog = ss.parse_script('session 1\ntxn\nput a x + 1\ncommit\n')
-    with pytest.raises(ss.ScriptError):
-        ss.run_workload(prog, 1, 1, 0, ss.ReadPolicy(ss.LATEST_WRITER))
 
 
 # --- validation ---------------------------------------------------------------

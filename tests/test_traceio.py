@@ -29,7 +29,7 @@ def test_parse_emit_round_trip_fixed():
     text = u.emit_trace(trace)
     assert u.emit_trace(u.parse_trace(text)) == text
     assert [sid for sid, _ in trace.sessions] == [1, 2]
-    assert trace.sessions[0][1][0].ops[0] == ('r', 'acc', 1, 0, 0)
+    assert trace.sessions[1][1][0].ops[0] == u.Event('r', 'acc', 1, 50, 1)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -65,6 +65,11 @@ def test_abort_terminator():
     ('session 1\nfrobnicate\n', traceio.ParseError),  # unknown directive
     ('session 1\ntxn 1\ncommit\ntxn 1\ncommit\n', traceio.SemanticError),
     ('session 1\ntxn 1\nw x 2 5\nw y 1 6\ncommit\n', traceio.SemanticError),
+    # unterminated txn, cut by the next txn, the next session or the end
+    ('session 1\ntxn 1\nw x 1 5\ntxn 2\ncommit\n', traceio.ParseError),
+    ('session 1\ntxn 1\nw x 1 5\nsession 2\ntxn 2\ncommit\n',
+     traceio.ParseError),
+    ('session 1\ntxn 1\ncommit\ntxn 2\nw x 1 5\n', traceio.ParseError),
 ])
 def test_parse_errors(text, exc):
     with pytest.raises(exc):
@@ -93,12 +98,12 @@ def traces(draw):
             for _ in range(draw(st.integers(0, 3))):
                 key = draw(st.sampled_from(['x', 'y']))
                 pos += 1
+                value = draw(st.integers(0, 99))
                 if draw(st.booleans()):
-                    rec.ops.append(('r', key, pos,
-                                    draw(st.integers(0, tid)),
-                                    draw(st.integers(0, 99))))
+                    rec.ops.append(u.Event('r', key, pos, value,
+                                           draw(st.integers(0, tid))))
                 else:
-                    rec.ops.append(('w', key, pos, draw(st.integers(0, 99))))
+                    rec.ops.append(u.Event('w', key, pos, value))
             rec.terminator = draw(st.sampled_from(['commit', 'abort']))
             records.append(rec)
         trace.sessions.append((sid, records))
@@ -126,6 +131,21 @@ def test_history_to_trace_round_trip(tmp_path):
     # history -> trace -> history is stable too
     t2 = u.history_to_trace(rebuilt)
     assert u.build_history(t2).wr == rebuilt.wr
+
+
+def test_random_weak_runs_round_trip():
+    # every event field survives emit/parse and history_to_trace, on
+    # runs whose reads name writers other than the latest one
+    for name in ss.BUILTIN_WORKLOADS:
+        for level in ('causal', 'rc'):
+            for seed in range(4):
+                trace, history = ss.run_workload(
+                    ss.WorkloadProgram(name), 3, 2, seed,
+                    ss.ReadPolicy(ss.RANDOM_WEAK, level, rng_seed=seed))
+                parsed = u.parse_trace(u.emit_trace(trace))
+                assert u.build_history(parsed).txns == history.txns
+                text = u.emit_trace(u.history_to_trace(history))
+                assert u.emit_trace(u.parse_trace(text)) == text
 
 
 # --- DOT ------------------------------------------------------------------
